@@ -126,6 +126,7 @@ func main() {
 	}
 
 	var eng *core.Engine
+	rt := core.Runtime{Metrics: reg, Log: logger, SlowQuery: *slowQuery}
 	if *shards != "" {
 		// Graph-free mode: the coordinator learns the deployment from the
 		// fleet itself. Flags that describe the graph belong to the
@@ -144,10 +145,8 @@ func main() {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *connectTimeout)
 		eng, err = core.Connect(ctx, core.ClusterSpec{
-			Groups:    strings.Split(*shards, ","),
-			Log:       logger,
-			Metrics:   reg,
-			SlowQuery: *slowQuery,
+			Groups:  strings.Split(*shards, ","),
+			Runtime: rt,
 		})
 		cancel()
 		if err != nil {
@@ -178,10 +177,7 @@ func main() {
 			logger.Errorf("load graph: %v", err)
 			os.Exit(exitPartial)
 		}
-		eng, err = core.Build(g, core.Options{
-			K: *k, Partitioner: strat,
-			Metrics: reg, Log: logger, SlowQuery: *slowQuery,
-		})
+		eng, err = core.Build(g, core.Options{K: *k, Partitioner: strat, Runtime: rt})
 		if err != nil {
 			logger.Errorf("build engine: %v", err)
 			os.Exit(exitPartial)

@@ -128,15 +128,17 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *connectTimeout)
 	eng, err := core.Connect(ctx, core.ClusterSpec{
-		Groups:    strings.Split(*shards, ","),
-		Log:       logger,
-		Metrics:   reg,
-		SlowQuery: *slowQuery,
-		Hedge: core.HedgeOptions{
-			Enabled:    *hedge,
-			Percentile: *hedgePercentile,
-			Min:        *hedgeMin,
-			Max:        *hedgeMax,
+		Groups: strings.Split(*shards, ","),
+		Runtime: core.Runtime{
+			Log:       logger,
+			Metrics:   reg,
+			SlowQuery: *slowQuery,
+			Hedge: core.HedgeOptions{
+				Enabled:    *hedge,
+				Percentile: *hedgePercentile,
+				Min:        *hedgeMin,
+				Max:        *hedgeMax,
+			},
 		},
 	})
 	cancel()

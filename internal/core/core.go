@@ -37,6 +37,10 @@ type Query = dsr.Query
 // (nil means graph.Hash()), or a precomputed Partitioning.
 type Options = dsr.Options
 
+// Runtime holds the knobs Options and ClusterSpec share: metrics
+// registry, logger, slow-query threshold, and hedging.
+type Runtime = dsr.Runtime
+
 // ClusterSpec describes an existing shard fleet for Connect: one
 // address spec per partition ("host:port", or "a:port|b:port" replica
 // groups), plus optional pinned expectations (graph fingerprint,

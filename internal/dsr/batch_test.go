@@ -92,7 +92,7 @@ func TestQueryBatchEmpty(t *testing.T) {
 }
 
 // TestQueryZeroAlloc locks the acceptance criterion that the in-process
-// Loopback query path stays allocation-free in steady state — with full
+// query path (one local replica per partition) stays allocation-free in steady state — with full
 // instrumentation enabled (metrics registry, slow-query tracing armed):
 // telemetry must be free when idle and allocation-free when hot.
 func TestQueryZeroAlloc(t *testing.T) {
@@ -102,7 +102,7 @@ func TestQueryZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 2000, 3)
 	reg := obs.NewRegistry()
-	e, err := Build(g, Options{K: 4, Metrics: reg, SlowQuery: time.Hour})
+	e, err := Build(g, Options{K: 4, Runtime: Runtime{Metrics: reg, SlowQuery: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestQueryZeroAlloc(t *testing.T) {
 }
 
 // TestCloseStopsGoroutines asserts deterministic lifecycle: every
-// goroutine the engine started (loopback shard servers) is gone once
+// goroutine the engine started (local replica servers) is gone once
 // Close returns.
 func TestCloseStopsGoroutines(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -153,7 +153,7 @@ func TestCloseStopsGoroutines(t *testing.T) {
 	}
 }
 
-// BenchmarkQueryBatch measures the batched path over Loopback with
+// BenchmarkQueryBatch measures the in-process batched path with
 // 64-query batches on the same workload as BenchmarkQuery; b.N counts
 // individual queries so ns/op is comparable across the two.
 func BenchmarkQueryBatch(b *testing.B) {
@@ -181,7 +181,7 @@ func BenchmarkQueryBatch(b *testing.B) {
 }
 
 // BenchmarkQueryWithMetrics is the instrumented twin of BenchmarkQuery:
-// single queries over Loopback with a live metrics registry and armed
+// single in-process queries with a live metrics registry and armed
 // slow-query tracing. Its BENCH_baseline entry pins allocs/op at 0, so
 // the bench gate fails CI if instrumentation ever puts an allocation on
 // the hot path.
@@ -189,7 +189,7 @@ func BenchmarkQueryWithMetrics(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 10000
 	g := randomGraph(rng, n, 4)
-	e, err := Build(g, Options{K: 4, Metrics: obs.NewRegistry(), SlowQuery: time.Hour})
+	e, err := Build(g, Options{K: 4, Runtime: Runtime{Metrics: obs.NewRegistry(), SlowQuery: time.Hour}})
 	if err != nil {
 		b.Fatal(err)
 	}

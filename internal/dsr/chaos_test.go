@@ -22,7 +22,7 @@ import (
 // it learns the boundary structure from whichever replica of each
 // partition serves the connect-time summary fetch. Local replicas carry
 // no handshake identity, so the global vertex count is pinned
-// explicitly, exactly like Build does for its loopback shards.
+// explicitly, exactly like Build does for its local replicas.
 func newChaosEngine(t testing.TB, g *graph.Graph, strat graph.Partitioner, k, R int,
 	f *chaos.Faults, opts shard.ReplicatedOptions) *Engine {
 	t.Helper()
@@ -53,7 +53,7 @@ func newChaosEngine(t testing.TB, g *graph.Graph, strat graph.Partitioner, k, R 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := connect(t.Context(), tr, k, g.NumVertices(), telemetry{})
+	e, err := connect(t.Context(), tr, k, g.NumVertices(), Runtime{})
 	if err != nil {
 		tr.Close()
 		t.Fatal(err)

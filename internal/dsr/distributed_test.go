@@ -211,6 +211,115 @@ func TestDistributedTCPServerLoss(t *testing.T) {
 	}
 }
 
+// TestDistributedTCPShardRestart: a single-replica fleet (one address
+// per partition) re-adopts a shard server that went down and came back
+// on the same address. Queries fail while it is down; once it is back
+// they answer oracle-correct again on the same engine, without a new
+// Connect, and Health records the failover and the redial.
+func TestDistributedTCPShardRestart(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const k, n = 3, 80
+	g := randomGraph(rng, n, 2)
+	pt, err := graph.Hash().Partition(g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, _ := partition.Extract(g, pt)
+	var wg sync.WaitGroup
+	serve := func(p int, addr string) (*shard.Server, string) {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := shard.NewServer(shard.New(p, subs[p]), k, n, g.Fingerprint(), pt.Digest())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srv.Serve(ln)
+		}()
+		return srv, ln.Addr().String()
+	}
+	servers := make([]*shard.Server, k)
+	addrs := make([]string, k)
+	for p := range servers {
+		servers[p], addrs[p] = serve(p, "127.0.0.1:0")
+	}
+	defer func() {
+		for _, srv := range servers {
+			srv.Close()
+		}
+		wg.Wait()
+	}()
+
+	e, err := Connect(t.Context(), ClusterSpec{Groups: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// Every query spans all of [0, n), so every partition is consulted.
+	mkBatch := func() []Query {
+		batch := make([]Query, 8)
+		for i := range batch {
+			batch[i] = Query{S: randomSet(rng, n, 6), T: randomSet(rng, n, 6)}
+		}
+		batch[0] = Query{S: []graph.VertexID{0, 1, 2, 3, 4, 5}, T: []graph.VertexID{6, 7, 8, 9, 10, 11}}
+		return batch
+	}
+	checkBatch := func(batch []Query, got []bool) {
+		t.Helper()
+		for i, q := range batch {
+			if want := NaiveReach(g, q.S, q.T); got[i] != want {
+				t.Fatalf("query %d: got %v, oracle %v", i, got[i], want)
+			}
+		}
+	}
+	batch := mkBatch()
+	got, err := e.QueryBatchErr(batch)
+	if err != nil {
+		t.Fatalf("healthy fleet errored: %v", err)
+	}
+	checkBatch(batch, got)
+
+	servers[1].Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, err := e.QueryBatchErr(mkBatch()); err != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no error while partition 1 was down")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	servers[1], _ = serve(1, addrs[1])
+	deadline = time.Now().Add(20 * time.Second)
+	for {
+		batch := mkBatch()
+		got, err := e.QueryBatchErr(batch)
+		if err == nil {
+			checkBatch(batch, got)
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("never recovered after restart: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for round := 0; round < 5; round++ {
+		batch := mkBatch()
+		got, err := e.QueryBatchErr(batch)
+		if err != nil {
+			t.Fatalf("round %d after recovery: %v", round, err)
+		}
+		checkBatch(batch, got)
+	}
+	ph := e.Health()[1]
+	if ph.Replicas != 1 || ph.Live != 1 || ph.Failovers == 0 || ph.Redials == 0 {
+		t.Fatalf("partition 1 health after restart = %+v, want 1/1 live with a failover and a redial", ph)
+	}
+}
+
 // TestDistributedTCPClosesCleanly asserts the distributed engine's
 // Close joins its transport goroutines (client readers).
 func TestDistributedTCPClosesCleanly(t *testing.T) {

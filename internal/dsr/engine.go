@@ -24,11 +24,12 @@
 // therefore proportional to the boundary, not to the graph: partition
 // interiors exist only inside the shards.
 //
-// Two constructors cover the two deployments. Build partitions a graph
-// and runs everything in one process over shard.Loopback (the shards
-// still ship summaries — the same code path as the wire). Connect joins
-// an existing fleet of shard servers over TCP, knowing nothing but
-// their addresses: identity (vertex count, graph fingerprint,
+// Two constructors cover the two deployments, over the one transport,
+// shard.Replicated. Build partitions a graph and runs everything in one
+// process with one local replica per partition (shard.NewLocal; the
+// shards still ship summaries — the same code path as the wire).
+// Connect joins an existing fleet of shard servers over TCP, knowing
+// nothing but their addresses: identity (vertex count, graph fingerprint,
 // partitioning digest) comes from the handshake, structure from the
 // shipped summaries, and the same QueryBatch path amortizes one
 // round-trip per shard across an entire batch of queries.
@@ -341,10 +342,10 @@ type Engine struct {
 	qs     []qstate
 	single [1]Query // reusable batch for Query
 
-	// Hedging. hedge is nil unless enabled on a sibling-capable
-	// transport; hedged replies arrive on their own channel so a
-	// duplicate can never be mistaken for a primary. pround is the
-	// hedged fan-in's per-partition ledger, reused across rounds.
+	// Hedging. hedge and hedgec are nil unless hedging is enabled on a
+	// transport with sibling replicas; hedged replies arrive on their
+	// own channel so a duplicate can never be mistaken for a primary.
+	// pround is the fan-in's per-partition ledger, reused across rounds.
 	hedge  *hedgeState
 	hedgec chan shard.Reply
 	pround []partRound
@@ -387,28 +388,39 @@ type Options struct {
 	// edge set, so a hand-rolled partitioning cannot smuggle in marks
 	// that disagree with the graph.
 	Partitioning *graph.Partitioning
-	// Metrics, if non-nil, receives the engine's telemetry (see the
-	// catalog in README.md). Nil disables instrumentation at zero cost:
-	// every instrument degrades to a no-op.
+	Runtime
+}
+
+// Runtime holds the knobs every engine constructor shares, whatever
+// the deployment: where telemetry goes and whether to hedge. The zero
+// value disables all of it.
+type Runtime struct {
+	// Metrics, if non-nil, receives coordinator and transport telemetry
+	// (see the catalog in README.md): query latency histograms,
+	// per-partition RPC counters, replica retry/failover/redial counts.
+	// Nil disables instrumentation at zero cost: every instrument
+	// degrades to a no-op.
 	Metrics *obs.Registry
-	// Log, if non-nil, receives build/connect progress and slow-query
-	// traces. Nil logs nothing.
+	// Log, if non-nil, receives build/connect progress — one line per
+	// shard summary fetched, one for the stitched result — and
+	// slow-query traces. Nil logs nothing.
 	Log *obs.Logger
 	// SlowQuery, if positive, logs a structured span trace (at WARN) for
 	// every batch that takes longer end to end. 0 disables.
 	SlowQuery time.Duration
-	// Hedge configures hedged shard requests. Only effective on
-	// transports with sibling replicas (ConnectTransport over a
-	// replicated transport); Build's loopback shards have none, so it is
-	// ignored there.
+	// Hedge configures hedged shard requests: when a round waits past a
+	// high quantile of a partition's usual latency, the batch is re-sent
+	// to an idle sibling replica and the first reply wins. Only
+	// effective when some partition has two or more replicas; ignored
+	// (with a warning) otherwise, e.g. under Build.
 	Hedge HedgeOptions
 }
 
-// Build partitions g and builds an in-process engine over it: one
-// shard.Loopback shard per partition, each of which compresses its
+// Build partitions g and builds an in-process engine over it: one local
+// replica per partition (shard.NewLocal), each of which compresses its
 // partition and ships a boundary summary exactly as a remote shard
-// would — Build and Connect share the summary-stitching path, the only
-// difference is the transport underneath.
+// would — Build and Connect share the transport and the
+// summary-stitching path; only where the replicas live differs.
 func Build(g *graph.Graph, o Options) (*Engine, error) {
 	var pt *graph.Partitioning
 	var err error
@@ -436,12 +448,13 @@ func Build(g *graph.Graph, o Options) (*Engine, error) {
 	for i, s := range subs {
 		shards[i] = shard.New(i, s)
 	}
-	lb := shard.NewLoopback(shards)
-	e, err := connect(context.Background(), lb, pt.K, g.NumVertices(), telemetry{
-		reg: o.Metrics, log: o.Log, slow: o.SlowQuery,
-	})
+	tr, err := shard.NewLocal(shards)
 	if err != nil {
-		lb.Close()
+		return nil, err
+	}
+	e, err := connect(context.Background(), tr, pt.K, g.NumVertices(), o.Runtime)
+	if err != nil {
+		tr.Close()
 		return nil, err
 	}
 	return e, nil
@@ -457,6 +470,8 @@ type ClusterSpec struct {
 	// coordinator routes each round to a healthy one, retries on a
 	// sibling when a replica fails mid-query, and redials dead replicas,
 	// so a partition is only unavailable when every replica is down.
+	// A partition with a single address is still redialed after its
+	// server fails, so a restarted shard is re-adopted.
 	Groups []string
 	// ExpectGraph, if non-zero, pins the graph fingerprint
 	// (graph.Fingerprint): any shard built from a different edge set is
@@ -465,27 +480,7 @@ type ClusterSpec struct {
 	// ExpectDigest, if non-zero, pins the partitioning digest
 	// (graph.Partitioning.Digest) the same way.
 	ExpectDigest uint64
-	// ReconnectEvery is the background redial cadence for dead replicas
-	// (replicated deployments only): 0 means the default, negative
-	// disables background reconnection (dead replicas are then only
-	// redialed on demand, when a round needs them).
-	ReconnectEvery time.Duration
-	// Log, if non-nil, receives human-readable connect progress — one
-	// line per shard summary fetched, one for the stitched result — and
-	// slow-query traces after connect.
-	Log *obs.Logger
-	// Metrics, if non-nil, receives coordinator and transport telemetry
-	// (see the catalog in README.md): query latency histograms,
-	// per-partition RPC counters, replica retry/failover/redial counts.
-	Metrics *obs.Registry
-	// SlowQuery, if positive, logs a structured span trace (at WARN) for
-	// every batch that takes longer end to end. 0 disables.
-	SlowQuery time.Duration
-	// Hedge configures hedged shard requests: when a round waits past a
-	// high quantile of a partition's usual latency, the batch is re-sent
-	// to an idle sibling replica and the first reply wins. Requires
-	// replica groups; ignored (with a warning) otherwise.
-	Hedge HedgeOptions
+	Runtime
 }
 
 // Connect joins an existing shard fleet and builds the graph-free
@@ -507,36 +502,12 @@ func Connect(ctx context.Context, spec ClusterSpec) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	replicated := false
-	for _, grp := range groups {
-		if len(grp) > 1 {
-			replicated = true
-			break
-		}
-	}
-	var tr shard.Transport
-	if replicated {
-		tr, err = shard.DialReplicated(ctx, groups, -1, spec.ExpectGraph, spec.ExpectDigest,
-			shard.ReplicatedOptions{ReconnectEvery: spec.ReconnectEvery, Metrics: spec.Metrics})
-	} else {
-		// Single-replica deployments keep the plain per-shard connection:
-		// same failure semantics, no per-submit goroutine. Dial the
-		// parsed (trimmed) addresses, not the raw specs.
-		single := make([]string, len(groups))
-		for i, grp := range groups {
-			single[i] = grp[0]
-		}
-		tr, err = shard.Dial(ctx, single, -1, spec.ExpectGraph, spec.ExpectDigest)
-	}
+	tr, err := shard.DialReplicated(ctx, groups, -1, spec.ExpectGraph, spec.ExpectDigest,
+		shard.ReplicatedOptions{Metrics: spec.Metrics})
 	if err != nil {
 		return nil, err
 	}
-	if c, ok := tr.(*shard.Client); ok {
-		c.Instrument(spec.Metrics)
-	}
-	e, err := connect(ctx, tr, len(groups), -1, telemetry{
-		reg: spec.Metrics, log: spec.Log, slow: spec.SlowQuery, hedge: spec.Hedge,
-	})
+	e, err := connect(ctx, tr, len(groups), -1, spec.Runtime)
 	if err != nil {
 		tr.Close()
 		return nil, err
@@ -546,26 +517,15 @@ func Connect(ctx context.Context, spec ClusterSpec) (*Engine, error) {
 
 // ConnectTransport builds the coordinator over an already-constructed
 // transport — the hook for embedders (the serving layer's harnesses,
-// chaos rigs) that assemble their own replica fleets in process via
-// shard.NewReplicated or shard.NewLoopback. k is the partition count tr
-// serves; n >= 0 pins the global vertex count, n < 0 derives it from
-// the shards' handshake identities (which fails for transports whose
-// replicas present none). Only o's telemetry and Hedge fields are
-// consulted. On success the engine owns tr (Close closes it); on error
-// the caller still owns it.
+// chaos rigs, benchmarks) that assemble their own replica fleets via
+// shard.NewReplicated, shard.NewLocal, or shard.Dial. k is the
+// partition count tr serves; n >= 0 pins the global vertex count, n < 0
+// derives it from the shards' handshake identities (which fails for
+// transports whose replicas present none). Only o.Runtime is consulted.
+// On success the engine owns tr (Close closes it); on error the caller
+// still owns it.
 func ConnectTransport(ctx context.Context, tr shard.Transport, k, n int, o Options) (*Engine, error) {
-	return connect(ctx, tr, k, n, telemetry{
-		reg: o.Metrics, log: o.Log, slow: o.SlowQuery, hedge: o.Hedge,
-	})
-}
-
-// telemetry bundles the observability and hedging knobs threaded from
-// Build/Connect into the engine. The zero value disables everything.
-type telemetry struct {
-	reg   *obs.Registry
-	log   *obs.Logger
-	slow  time.Duration
-	hedge HedgeOptions
+	return connect(ctx, tr, k, n, o.Runtime)
 }
 
 // connect is the shared back half of Build and Connect: fetch every
@@ -573,17 +533,17 @@ type telemetry struct {
 // identities against each other, stitch, and wire the engine. n >= 0
 // pins the global vertex count (transports without a handshake, e.g.
 // in-process shards); n < 0 derives it from the hellos.
-func connect(ctx context.Context, tr shard.Transport, k, n int, tel telemetry) (*Engine, error) {
+func connect(ctx context.Context, tr shard.Transport, k, n int, rt Runtime) (*Engine, error) {
 	infos := make([]shard.SummaryInfo, k)
 	errs := make([]error, k)
-	sumFetch := tel.reg.Histogram("dsr_summary_fetch_ns")
+	sumFetch := rt.Metrics.Histogram("dsr_summary_fetch_ns")
 	parallelParts(k, func(p int) {
 		t0 := time.Now()
 		infos[p], errs[p] = tr.Summary(ctx, p)
 		sumFetch.ObserveSince(t0)
 		if errs[p] == nil {
 			s := &infos[p].Summary
-			tel.log.Infof("shard %d/%d: summary received (%d boundary vertices, %d summary edges, %d cross edges)",
+			rt.Log.Infof("shard %d/%d: summary received (%d boundary vertices, %d summary edges, %d cross edges)",
 				p+1, k, len(s.Boundary), len(s.Edges), len(s.Cross))
 		}
 	})
@@ -642,14 +602,14 @@ func connect(ctx context.Context, tr shard.Transport, k, n int, tel telemetry) (
 	if err != nil {
 		return nil, err
 	}
-	tel.log.Infof("boundary graph stitched: %d vertices, %d edges, %d coordinator-resident bytes",
+	rt.Log.Infof("boundary graph stitched: %d vertices, %d edges, %d coordinator-resident bytes",
 		len(bg.verts), len(bg.arena), bg.residentBytes())
-	return newEngine(n, k, bg, tr, tel), nil
+	return newEngine(n, k, bg, tr, rt), nil
 }
 
 // newEngine wires a coordinator over an already-stitched boundary graph
 // and transport.
-func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, tel telemetry) *Engine {
+func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, rt Runtime) *Engine {
 	e := &Engine{
 		n:      n,
 		k:      k,
@@ -660,18 +620,19 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, tel telemetry) *
 		sset:   &vset{},
 		bvisit: partition.NewMarks(len(bg.verts)),
 		bgoal:  partition.NewMarks(len(bg.verts)),
-		met:    newEngineMetrics(tel.reg, k),
-		slow:   tel.slow,
-		log:    tel.log,
+		pround: make([]partRound, k),
+		met:    newEngineMetrics(rt.Metrics, k),
+		slow:   rt.SlowQuery,
+		log:    rt.Log,
 
-		wantTiming: tel.reg != nil || tel.slow > 0,
+		wantTiming: rt.Metrics != nil || rt.SlowQuery > 0,
 	}
-	if tel.hedge.Enabled {
-		if ht, ok := tr.(hedgeTransport); ok {
-			e.hedge = newHedgeState(ht, k, tel.hedge)
+	if rt.Hedge.Enabled {
+		if r, ok := tr.(*shard.Replicated); ok && hasSiblings(r) {
+			e.hedge = newHedgeState(r, k, rt.Hedge)
 			e.hedgec = make(chan shard.Reply, k)
 		} else {
-			tel.log.Warnf("hedged requests enabled but the transport has no sibling replicas; hedging disabled")
+			rt.Log.Warnf("hedged requests enabled but no partition has sibling replicas; hedging disabled")
 		}
 	}
 	e.met.partitions.Set(int64(k))
@@ -680,11 +641,22 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, tel telemetry) *
 	return e
 }
 
-// Health reports the per-partition replica health of a replicated
-// deployment — live replica counts and cumulative retry, failover, and
-// redial totals since connect. It returns nil for non-replicated
-// transports (in-process engines, single-replica TCP): there is no
-// failover machinery to report on.
+// hasSiblings reports whether some partition of r has two or more
+// replicas — something a hedge could be sent to.
+func hasSiblings(r *shard.Replicated) bool {
+	for _, ph := range r.Health() {
+		if ph.Replicas > 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// Health reports the per-partition replica health — live replica
+// counts and cumulative retry, failover, and redial totals since
+// connect — one entry per partition, in-process engines included (one
+// replica each). It returns nil only for transports other than
+// shard.Replicated (test and benchmark wrappers).
 func (e *Engine) Health() []shard.PartitionHealth {
 	if r, ok := e.tr.(*shard.Replicated); ok {
 		return r.Health()
@@ -694,12 +666,12 @@ func (e *Engine) Health() []shard.PartitionHealth {
 
 // Endpoints describes the engine's shard endpoints — one entry per
 // (partition, replica) with the dialed address, the metrics address
-// each shard announced at handshake, and liveness. Nil for transports
-// that have no endpoints to describe (in-process engines); the fleet
-// metrics aggregator feeds on this.
+// each shard announced at handshake, and liveness; in-process replicas
+// have no address. Nil for transports other than shard.Replicated. The
+// fleet metrics aggregator feeds on this.
 func (e *Engine) Endpoints() []shard.EndpointInfo {
-	if t, ok := e.tr.(interface{ Endpoints() []shard.EndpointInfo }); ok {
-		return t.Endpoints()
+	if r, ok := e.tr.(*shard.Replicated); ok {
+		return r.Endpoints()
 	}
 	return nil
 }
@@ -717,7 +689,7 @@ func (e *Engine) NumBoundary() int { return len(e.bg.verts) }
 // graph-free coordinator.
 func (e *Engine) ResidentBytes() int { return e.bg.residentBytes() }
 
-// Close shuts the transport down deterministically: in-process shard
+// Close shuts the transport down deterministically: in-process replica
 // goroutines have exited (and TCP connections are closed with their
 // reader goroutines joined, in-flight redials cancelled) by the time it
 // returns. The engine must not be queried after Close.
@@ -932,7 +904,6 @@ func (e *Engine) runBatch(queries []Query) error {
 
 	// Fan out: broadcast the one task batch to every shard. Which shard
 	// owns which seed is the shards' business.
-	nsub := 0
 	var hdr wire.BatchHeader
 	var tsub time.Time
 	var roundStart time.Duration
@@ -947,7 +918,6 @@ func (e *Engine) runBatch(queries []Query) error {
 			e.met.rpcs[p].Inc()
 			e.tr.Submit(p, hdr, e.tasks, e.replyc)
 		}
-		nsub = e.k
 	}
 
 	// Fan in: exits reached from S seed each query's boundary search;
@@ -962,12 +932,8 @@ func (e *Engine) runBatch(queries []Query) error {
 	// whole round via terr: such a shard cannot be trusted retroactively.
 	var perr []PartitionError
 	var terr error
-	if nsub > 0 && e.hedge != nil {
-		perr, terr = e.drainHedged(queries, hdr, tsub, roundStart)
-	} else {
-		perr, terr = e.drainPlain(queries, nsub, tsub, roundStart)
-	}
 	if round >= 0 {
+		perr, terr = e.drain(queries, hdr, tsub, roundStart)
 		wait := e.trace.Since() - roundStart
 		e.trace.SetDur(round, wait)
 		e.met.faninWait.Observe(int64(wait))
@@ -1029,44 +995,26 @@ func (e *Engine) runBatch(queries []Query) error {
 	return nil
 }
 
-// drainPlain is the unhedged fan-in: one reply per submitted partition,
-// drained in arrival order. Caller holds e.mu.
-func (e *Engine) drainPlain(queries []Query, nsub int, tsub time.Time, roundStart time.Duration) ([]PartitionError, error) {
-	var perr []PartitionError
-	var terr error
-	for r := 0; r < nsub; r++ {
-		rep := <-e.replyc
-		rpcDur := time.Since(tsub)
-		e.met.rpcLat[rep.Shard].Observe(int64(rpcDur))
-		if rep.Err != nil {
-			e.met.rpcErrs[rep.Shard].Inc()
-			e.trace.Add("rpc", 2, roundStart, rpcDur, rep.Shard, 0)
-			perr = append(perr, PartitionError{Partition: rep.Shard, Err: rep.Err})
-			continue
-		}
-		e.observeReply(&rep, rpcDur, roundStart)
-		if err := e.absorb(queries, &rep); err != nil {
-			terr = err
-		}
-	}
-	return perr, terr
-}
-
-// partRound is one partition's ledger within a hedged fan-in round.
+// partRound is one partition's ledger within a fan-in round.
 type partRound struct {
 	done bool  // a successful reply (primary or hedge) was absorbed
 	err  error // first failure seen; cleared once done
 }
 
-// drainHedged is the fan-in with hedged requests armed: it drains
-// primary replies as usual, but if the round outlasts the hedge
-// deadline (a high quantile of primary latency — see hedgeState.delay)
-// every partition still outstanding gets its batch re-sent to an idle
-// sibling replica, and per partition the first successful reply wins.
-// Duplicates are dropped unabsorbed: local searches are idempotent
-// reads, so the loser carries the same content, and replies own their
-// memory (the replicated transport copies results out of connection
-// arenas), so an unread duplicate can't clobber anything.
+// drain is the round's fan-in: one primary reply per partition, drained
+// in arrival order, each success absorbed into the per-query state and
+// each failure recorded against its partition.
+//
+// With hedging armed, a round that outlasts the hedge deadline (a high
+// quantile of primary latency — see hedgeState.delay) re-sends every
+// partition still outstanding to an idle sibling replica, and per
+// partition the first successful reply wins. Duplicates are dropped
+// unabsorbed: local searches are idempotent reads, so the loser carries
+// the same content, and replies from sets with siblings own their
+// memory (the replicated transport copies them out of connection
+// arenas), so an unread duplicate can't clobber anything. Without
+// hedging the hedge channel is nil and there is no timer, so an
+// unhedged round allocates nothing.
 //
 // The round returns the moment every partition is answered — that is
 // the entire point of hedging: the coordinator must not wait for a
@@ -1076,22 +1024,26 @@ type partRound struct {
 // round start fresh), their replicas stay marked busy inside the
 // transport until they actually answer, and their content is never
 // read. A partition only fails the round when neither its primary
-// chain nor its hedge produced a reply. Caller holds e.mu.
-func (e *Engine) drainHedged(queries []Query, hdr wire.BatchHeader, tsub time.Time, roundStart time.Duration) ([]PartitionError, error) {
-	if cap(e.pround) < e.k {
-		e.pround = make([]partRound, e.k)
-	}
-	pr := e.pround[:e.k]
-	for p := range pr {
-		pr[p] = partRound{}
-	}
+// chain nor its hedge produced a reply.
+//
+// Every primary reply, failed or not, feeds dsr_rpc_latency_ns and the
+// hedge deadline estimator: it is how long the partition's primary
+// chain took to answer. Hedged replies feed neither — a hedge measures
+// a sibling from a later start, not the partition's latency. Caller
+// holds e.mu.
+func (e *Engine) drain(queries []Query, hdr wire.BatchHeader, tsub time.Time, roundStart time.Duration) ([]PartitionError, error) {
+	pr := e.pround
+	clear(pr)
 	var terr error
 	remaining := e.k // primary replies still owed
 	hedges := 0      // hedged replies still owed
 	pending := e.k   // partitions not yet answered
-	timer := time.NewTimer(e.hedge.delay())
-	defer timer.Stop()
-	timerC := timer.C
+	var timerC <-chan time.Time
+	if e.hedge != nil {
+		timer := time.NewTimer(e.hedge.delay())
+		defer timer.Stop()
+		timerC = timer.C
+	}
 	var thsub time.Time // when the hedges were sent
 
 	handle := func(rep *shard.Reply, hedged bool) {
@@ -1101,6 +1053,12 @@ func (e *Engine) drainHedged(queries []Query, hdr wire.BatchHeader, tsub time.Ti
 			t0 = thsub
 		}
 		rpcDur := time.Since(t0)
+		if !hedged {
+			e.met.rpcLat[p].Observe(int64(rpcDur))
+			if e.hedge != nil {
+				e.hedge.observe(p, rpcDur)
+			}
+		}
 		if rep.Err != nil {
 			e.met.rpcErrs[p].Inc()
 			e.trace.Add("rpc", 2, roundStart, rpcDur, p, 0)
@@ -1108,13 +1066,6 @@ func (e *Engine) drainHedged(queries []Query, hdr wire.BatchHeader, tsub time.Ti
 				pr[p].err = rep.Err
 			}
 			return
-		}
-		if !hedged {
-			// Only primary round trips feed the RPC histograms and the
-			// hedge deadline estimator: a hedge measures a sibling from a
-			// later start, not the partition's true latency.
-			e.met.rpcLat[p].Observe(int64(rpcDur))
-			e.hedge.observe(p, rpcDur)
 		}
 		if pr[p].done {
 			e.trace.Add("rpc", 2, roundStart, rpcDur, p, 0)

@@ -16,25 +16,29 @@ type MismatchError struct {
 	A, B         uint64 // their reported values
 }
 
+// Error names both partitions, the field they disagree on, and each
+// side's value.
 func (e *MismatchError) Error() string {
 	return fmt.Sprintf("dsr: fleet mismatch: shard %d reports %s %#x, shard %d reports %#x",
 		e.PartA, e.Field, e.A, e.PartB, e.B)
 }
 
 // PartitionError is one partition that answered nothing for a batch
-// round: on a replicated transport this means every replica of the
-// partition failed (Err carries the per-replica detail, see
-// shard.ReplicaSetError); on a plain TCP transport it is the single
-// connection's failure.
+// round: every replica of the partition failed (Err carries the
+// per-replica detail, see shard.ReplicaSetError), or its sole replica
+// failed with the batch in flight (Err is that replica's failure).
 type PartitionError struct {
 	Partition int
 	Err       error
 }
 
+// Error prefixes the partition's failure with its index.
 func (e *PartitionError) Error() string {
 	return fmt.Sprintf("partition %d: %v", e.Partition, e.Err)
 }
 
+// Unwrap returns the partition's failure, so errors.Is and errors.As
+// see through to transport errors such as shard.ErrClosed.
 func (e *PartitionError) Unwrap() error { return e.Err }
 
 // BatchError reports partial failure of a QueryBatchErr round: one or
@@ -50,6 +54,8 @@ type BatchError struct {
 	Failed     []bool           // per batch query: answer unusable
 }
 
+// Error summarizes the round: how many queries failed, and every
+// unavailable partition with its failure.
 func (e *BatchError) Error() string {
 	nf := 0
 	for _, f := range e.Failed {

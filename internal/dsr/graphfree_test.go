@@ -150,7 +150,7 @@ func TestChaosSummaryFetchFailover(t *testing.T) {
 	// The replica the transport dialed for partition 1 dies before the
 	// summary fetch; its sibling must serve the summary instead.
 	f.Kill(1, 0)
-	e, err := connect(t.Context(), tr, k, g.NumVertices(), telemetry{})
+	e, err := connect(t.Context(), tr, k, g.NumVertices(), Runtime{})
 	if err != nil {
 		tr.Close()
 		t.Fatalf("summary fetch did not fail over to the sibling: %v", err)

@@ -5,7 +5,6 @@ import (
 
 	"dsr/internal/obs"
 	"dsr/internal/shard"
-	"dsr/internal/wire"
 )
 
 // HedgeOptions configures hedged shard requests: when a round's fan-in
@@ -14,8 +13,8 @@ import (
 // an idle sibling replica and takes whichever reply lands first.
 // Hedging is sound because local searches are idempotent reads over an
 // immutable subgraph — a duplicate answer is identical and is dropped.
-// It requires a replicated transport (replica groups); on transports
-// without siblings the option is ignored with a warning.
+// It requires a partition with two or more replicas; without one the
+// option is ignored with a warning.
 type HedgeOptions struct {
 	// Enabled turns hedging on.
 	Enabled bool
@@ -49,31 +48,24 @@ func (o HedgeOptions) withDefaults() HedgeOptions {
 	return o
 }
 
-// hedgeTransport is the sibling re-submit capability hedging needs;
-// shard.Replicated provides it. Loopback and single-replica transports
-// don't, which is exactly right: they have no sibling to hedge to.
-type hedgeTransport interface {
-	SubmitHedge(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- shard.Reply)
-}
-
 // hedgeMinSamples is how many primary latency samples every partition
 // must have before the percentile estimate is trusted; until then the
 // deadline is Max, so a cold coordinator hedges late rather than
 // stampeding siblings off a meaningless estimate.
 const hedgeMinSamples = 16
 
-// hedgeState is the engine's hedging machinery: the sibling-capable
+// hedgeState is the engine's hedging machinery: the replicated
 // transport plus a private per-partition histogram of primary RPC
 // latencies feeding the deadline estimate. The histograms are engine-
 // owned (not registry instruments) so hedging works identically with
 // metrics disabled.
 type hedgeState struct {
-	tr  hedgeTransport
+	tr  *shard.Replicated
 	opt HedgeOptions
 	lat []*obs.Histogram
 }
 
-func newHedgeState(tr hedgeTransport, k int, o HedgeOptions) *hedgeState {
+func newHedgeState(tr *shard.Replicated, k int, o HedgeOptions) *hedgeState {
 	h := &hedgeState{tr: tr, opt: o.withDefaults(), lat: make([]*obs.Histogram, k)}
 	for p := range h.lat {
 		h.lat[p] = &obs.Histogram{}

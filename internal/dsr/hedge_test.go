@@ -123,10 +123,10 @@ func TestHedgedEngineDifferential(t *testing.T) {
 	const k, n = 3, 80
 	g := randomGraph(rng, n, 2)
 	reg := obs.NewRegistry()
-	e := newHedgedEngine(t, g, k, 30*time.Millisecond, Options{
+	e := newHedgedEngine(t, g, k, 30*time.Millisecond, Options{Runtime: Runtime{
 		Metrics: reg,
 		Hedge:   HedgeOptions{Enabled: true, Percentile: 0.95, Min: time.Millisecond, Max: 2 * time.Millisecond},
-	})
+	}})
 	defer e.Close()
 
 	for round := 0; round < 20; round++ {
@@ -166,7 +166,7 @@ func TestHedgedEngineDifferential(t *testing.T) {
 // break queries.
 func TestHedgeIgnoredWithoutSiblings(t *testing.T) {
 	g := build(6, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
-	e, err := Build(g, Options{K: 3, Hedge: HedgeOptions{Enabled: true}})
+	e, err := Build(g, Options{K: 3, Runtime: Runtime{Hedge: HedgeOptions{Enabled: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"dsr/internal/graph"
 	"dsr/internal/obs"
+	"dsr/internal/shard"
 )
 
 // TestEngineMetrics runs batches through an instrumented in-process
@@ -18,7 +19,7 @@ func TestEngineMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomGraph(rng, 300, 2)
 	reg := obs.NewRegistry()
-	e, err := Build(g, Options{K: 3, Metrics: reg})
+	e, err := Build(g, Options{K: 3, Runtime: Runtime{Metrics: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +82,11 @@ func TestSlowQueryLog(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(rng, 200, 2)
 	var buf bytes.Buffer
-	e, err := Build(g, Options{
-		K:         2,
+	e, err := Build(g, Options{K: 2, Runtime: Runtime{
 		Metrics:   obs.NewRegistry(),
 		Log:       obs.NewLogger(&buf, obs.LevelWarn),
 		SlowQuery: time.Nanosecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSlowQueryLogDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomGraph(rng, 100, 2)
 	var buf bytes.Buffer
-	e, err := Build(g, Options{K: 2, Log: obs.NewLogger(&buf, obs.LevelWarn)})
+	e, err := Build(g, Options{K: 2, Runtime: Runtime{Log: obs.NewLogger(&buf, obs.LevelWarn)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,9 @@ func TestSlowQueryLogDisabled(t *testing.T) {
 	}
 }
 
-// TestEngineHealthLoopback pins Health's contract for non-replicated
-// transports: nil, not an empty slice.
+// TestEngineHealthLoopback pins Health's contract for in-process
+// engines: one entry per partition, each with its one local replica
+// live and no failover activity.
 func TestEngineHealthLoopback(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, 50, 1)
@@ -138,8 +139,14 @@ func TestEngineHealthLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if h := e.Health(); h != nil {
-		t.Fatalf("Health() on a Loopback engine = %v, want nil", h)
+	h := e.Health()
+	if len(h) != 2 {
+		t.Fatalf("Health() on an in-process engine has %d entries, want 2: %v", len(h), h)
+	}
+	for p, ph := range h {
+		if want := (shard.PartitionHealth{Partition: p, Replicas: 1, Live: 1}); ph != want {
+			t.Fatalf("Health()[%d] = %+v, want %+v", p, ph, want)
+		}
 	}
 }
 
@@ -149,7 +156,7 @@ func TestConnectLogsProgress(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	g := randomGraph(rng, 120, 2)
 	var buf bytes.Buffer
-	e, err := Build(g, Options{K: 3, Log: obs.NewLogger(&buf, obs.LevelInfo)})
+	e, err := Build(g, Options{K: 3, Runtime: Runtime{Log: obs.NewLogger(&buf, obs.LevelInfo)}})
 	if err != nil {
 		t.Fatal(err)
 	}

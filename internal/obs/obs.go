@@ -11,7 +11,7 @@
 // *Logger turns the corresponding operation into a no-op branch. Code
 // therefore instruments unconditionally and callers opt in by passing
 // a real Registry; with none, the cost is a nil check per event and
-// the Loopback query path stays 0 allocs/op either way (locked by
+// the in-process query path stays 0 allocs/op either way (locked by
 // TestQueryZeroAlloc and the BenchmarkQueryWithMetrics bench-gate
 // entry, which run with metrics enabled).
 package obs

@@ -221,18 +221,16 @@ func ExtractOne(g *graph.Graph, pt *graph.Partitioning, id int) *Subgraph {
 }
 
 // Scratch is reusable per-worker working memory: an epoch-marked
-// visited set plus BFS queue for local searches, exit-membership marks
-// for SummaryBFS, and an scc workspace for condensation builds. Every
-// piece is created on first use, so callers that exercise only one path
-// (e.g. the index-based Summary, which needs just the scc workspace)
-// pay for nothing else. A Scratch sized for n vertices works for any
-// subgraph with at most n vertices, so one scratch can serve many
-// partitions.
+// visited set plus BFS queue for local searches, and an scc workspace
+// for condensation builds. Every piece is created on first use, so
+// callers that exercise only one path (e.g. the index-based Summary,
+// which needs just the scc workspace) pay for nothing else. A Scratch
+// sized for n vertices works for any subgraph with at most n vertices,
+// so one scratch can serve many partitions.
 type Scratch struct {
 	n     int
 	marks *Marks // BFS visited set, lazy
 	queue []int32
-	xmark *Marks // exit membership for SummaryBFS, lazy
 	scc   *scc.Workspace
 }
 
@@ -245,14 +243,6 @@ func (sc *Scratch) searchMarks() *Marks {
 		sc.marks = NewMarks(sc.n)
 	}
 	return sc.marks
-}
-
-// exitMarks returns the exit-membership set, creating it on first use.
-func (sc *Scratch) exitMarks() *Marks {
-	if sc.xmark == nil {
-		sc.xmark = NewMarks(sc.n)
-	}
-	return sc.xmark
 }
 
 // sccWorkspace returns the scratch's scc workspace, creating it on
@@ -320,33 +310,6 @@ func (s *Subgraph) Summary(sc *Scratch) [][2]graph.VertexID {
 		buf = ix.AppendExitsFrom(e, buf[:0])
 		for _, x := range buf {
 			pairs = append(pairs, [2]graph.VertexID{s.global[e], s.global[x]})
-		}
-	}
-	return pairs
-}
-
-// SummaryBFS is the reference implementation of Summary: one forward
-// BFS per entry, O(B·(V+E)) for B boundary entries. It is kept for
-// differential testing against the index-based path. sc, which may be
-// nil, provides reusable BFS scratch so repeated calls (e.g. across the
-// partitions of one graph) allocate nothing per call.
-func (s *Subgraph) SummaryBFS(sc *Scratch) [][2]graph.VertexID {
-	if sc == nil {
-		sc = NewScratch(s.NumVertices())
-	}
-	xmark := sc.exitMarks()
-	xmark.Reset()
-	for _, x := range s.Exits {
-		xmark.Mark(x)
-	}
-	var pairs [][2]graph.VertexID
-	seed := make([]int32, 1)
-	for _, e := range s.Entries {
-		seed[0] = e
-		for _, v := range s.ReachForward(seed, sc) {
-			if xmark.Seen(v) {
-				pairs = append(pairs, [2]graph.VertexID{s.global[e], s.global[v]})
-			}
 		}
 	}
 	return pairs

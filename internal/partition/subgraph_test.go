@@ -214,7 +214,7 @@ func TestSummaryIndexVsBFSDifferential(t *testing.T) {
 		subs, _ := Extract(g, pt)
 		for _, s := range subs {
 			got := s.Summary(sc)
-			want := s.SummaryBFS(sc)
+			want := summaryBFS(s, sc)
 			sortPairs(got)
 			sortPairs(want)
 			if len(got) != len(want) {
@@ -233,4 +233,26 @@ func TestSummaryIndexVsBFSDifferential(t *testing.T) {
 	if checkedPartitions < 200 {
 		t.Fatalf("only %d partitions checked, want >= 200", checkedPartitions)
 	}
+}
+
+// summaryBFS is the reference implementation of Subgraph.Summary: one
+// forward BFS per entry, O(B·(V+E)) for B boundary entries, kept for
+// differential testing against the index-based path. sc provides the
+// reusable BFS scratch.
+func summaryBFS(s *Subgraph, sc *Scratch) [][2]graph.VertexID {
+	xmark := NewMarks(s.NumVertices())
+	for _, x := range s.Exits {
+		xmark.Mark(x)
+	}
+	var pairs [][2]graph.VertexID
+	seed := make([]int32, 1)
+	for _, e := range s.Entries {
+		seed[0] = e
+		for _, v := range s.ReachForward(seed, sc) {
+			if xmark.Seen(v) {
+				pairs = append(pairs, [2]graph.VertexID{s.global[e], s.global[v]})
+			}
+		}
+	}
+	return pairs
 }

@@ -86,10 +86,10 @@ func TestServeSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	eng, err := dsr.ConnectTransport(t.Context(), tr, k, n, dsr.Options{
+	eng, err := dsr.ConnectTransport(t.Context(), tr, k, n, dsr.Options{Runtime: dsr.Runtime{
 		Metrics: reg,
 		Hedge:   dsr.HedgeOptions{Enabled: true, Percentile: 0.95, Min: time.Millisecond, Max: 2 * time.Millisecond},
-	})
+	}})
 	if err != nil {
 		tr.Close()
 		t.Fatal(err)

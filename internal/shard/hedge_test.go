@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,14 +143,17 @@ func TestSubmitHedgeNoIdleSibling(t *testing.T) {
 	}
 }
 
-// TestReplicatedReplyOwnsMemory: a Reply from the replica-aware
-// transport must stay valid after further submits to the same
-// partition — with hedging, two batches for one partition are in
-// flight at once, so replies cannot alias replica decode buffers.
+// TestReplicatedReplyOwnsMemory: a Reply from a partition with sibling
+// replicas must stay valid after further submits to the same partition
+// — with hedging, two batches for one partition are in flight at once,
+// so replies cannot alias replica decode buffers. The sibling is down,
+// so both submits land on the same replica and the second overwrites
+// its arena with a different boundary list.
 func TestReplicatedReplyOwnsMemory(t *testing.T) {
 	shards, _ := chainFixture(t)
 	groups := [][]ReplicaDialer{{
-		func(ctx context.Context) (Replica, error) { return NewLocalReplica(shards[0]), nil },
+		func(ctx context.Context) (Replica, error) { return NewLocalReplica(shards[1]), nil },
+		func(ctx context.Context) (Replica, error) { return nil, errors.New("sibling down") },
 	}}
 	tr, err := NewReplicated(t.Context(), groups, ReplicatedOptions{ReconnectEvery: -1})
 	if err != nil {
@@ -157,17 +161,62 @@ func TestReplicatedReplyOwnsMemory(t *testing.T) {
 	}
 	defer tr.Close()
 
-	first := submitOne(t, tr, 0, 0)
+	replyc := make(chan Reply, 1)
+	// Partition {2,3}: forward from 2 reaches exit 3, backward from 3
+	// reaches entry 2 — the same arena slot, different contents.
+	tr.Submit(0, wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Seeds: []int32{2}}}, replyc)
+	first := <-replyc
 	if first.Err != nil {
 		t.Fatal(first.Err)
 	}
-	// A different batch on the same replica would scribble over the
-	// first reply's arena if run didn't copy results out.
-	second := submitOne(t, tr, 0, 1)
-	if second.Err != nil {
-		t.Fatal(second.Err)
+	tr.Submit(0, wire.BatchHeader{}, []wire.Task{{Kind: wire.Backward, Seeds: []int32{3}}}, replyc)
+	second := <-replyc
+	if second.Err != nil || !slices.Equal(second.Results[0].Boundary, []uint32{2}) {
+		t.Fatalf("second reply = %+v / %v, want boundary [2]", second.Results, second.Err)
 	}
-	if len(first.Results) != 1 || !slices.Equal(first.Results[0].Boundary, []uint32{1}) {
+	if len(first.Results) != 1 || !slices.Equal(first.Results[0].Boundary, []uint32{3}) {
 		t.Fatalf("first reply mutated by a later submit: %+v", first.Results)
+	}
+}
+
+// TestSubmitHedgeSoleReplica: on a partition with one replica,
+// SubmitHedge answers ErrNoIdleSibling at once, even while a primary
+// submit that went straight to the replica is still in flight — and
+// never touches that replica.
+func TestSubmitHedgeSoleReplica(t *testing.T) {
+	shards, _ := chainFixture(t)
+	slow := &gatedReplica{inner: NewLocalReplica(shards[0]), gate: make(chan struct{})}
+	groups := [][]ReplicaDialer{{func(ctx context.Context) (Replica, error) { return slow, nil }}}
+	tr, err := NewReplicated(t.Context(), groups, ReplicatedOptions{ReconnectEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var once sync.Once
+	release := func() { once.Do(func() { close(slow.gate) }) }
+	defer release() // before Close, so a failing test cannot hang on the gate
+
+	task := []wire.Task{{Kind: wire.Forward, Query: 0, Seeds: []int32{0}}}
+	replyc := make(chan Reply, 1)
+	go tr.Submit(0, wire.BatchHeader{}, task, replyc)
+	waitFor(t, "primary in flight", func() bool { return slow.submits.Load() == 1 })
+
+	hedgec := make(chan Reply, 1)
+	tr.SubmitHedge(0, wire.BatchHeader{}, task, hedgec)
+	select {
+	case rep := <-hedgec:
+		if !errors.Is(rep.Err, ErrNoIdleSibling) || rep.Shard != 0 {
+			t.Fatalf("hedge on a sole replica = %+v, want ErrNoIdleSibling for partition 0", rep)
+		}
+	default:
+		t.Fatal("SubmitHedge on a sole replica did not answer at once")
+	}
+	if n := slow.submits.Load(); n != 1 {
+		t.Fatalf("sole replica saw %d submits, want only the primary", n)
+	}
+
+	release()
+	if rep := <-replyc; rep.Err != nil || !slices.Equal(rep.Results[0].Boundary, []uint32{1}) {
+		t.Fatalf("primary reply = %+v / %v", rep.Results, rep.Err)
 	}
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // TestLoopbackSummary: the in-process transport serves the same
-// boundary summaries a TCP fleet would ship, with a position-only Hello
-// (nothing to cross-check against — the coordinator built the shards).
+// boundary summaries a TCP fleet would ship, with a zero Hello (no
+// handshake identity, nothing to cross-check against — the coordinator
+// built the shards).
 func TestLoopbackSummary(t *testing.T) {
 	shards, _ := chainFixture(t)
 	total := 0
@@ -21,16 +22,18 @@ func TestLoopbackSummary(t *testing.T) {
 	if total != 6 {
 		t.Fatalf("shards own %d vertices in total, want 6", total)
 	}
-	lb := NewLoopback(shards)
+	lb, err := NewLocal(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer lb.Close()
 	for p := 0; p < 3; p++ {
 		info, err := lb.Summary(t.Context(), p)
 		if err != nil {
 			t.Fatalf("shard %d: %v", p, err)
 		}
-		if info.Hello.ShardID != uint32(p) || info.Hello.NumShards != 3 ||
-			info.Hello.NumVertices != 0 || info.Hello.Graph != 0 || info.Hello.Partitioning != 0 {
-			t.Fatalf("shard %d: hello %+v, want position-only", p, info.Hello)
+		if info.Hello != (wire.Hello{}) {
+			t.Fatalf("shard %d: hello %+v, want zero", p, info.Hello)
 		}
 		want := shards[p].Summary()
 		if !slices.Equal(info.Summary.Boundary, want.Boundary) ||

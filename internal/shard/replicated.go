@@ -51,6 +51,13 @@ func counterOr(reg *obs.Registry, name string) *obs.Counter {
 // every replica of a partition fails within one Submit does the
 // coordinator see an error Reply, and that Reply's Err details every
 // replica's failure.
+//
+// A partition with exactly one replica — every partition of an
+// in-process engine (NewLocal) and of a plain one-address-per-partition
+// fleet (Dial) — has no sibling to fail over to, so Submit hands its
+// batch straight to that replica: no goroutine, no copy of the results.
+// A sole replica that failed is still marked dead when it is next
+// needed, and redialed, so a restarted shard server is re-adopted.
 type Replicated struct {
 	sets []*replicaSet
 	opts ReplicatedOptions
@@ -202,6 +209,22 @@ func NewReplicated(ctx context.Context, groups [][]ReplicaDialer, opts Replicate
 	return r, nil
 }
 
+// Dial connects to a deployment with one shard server per partition
+// (addrs[i] must serve shard i), verifying each hello against the
+// expected deployment shape, and returns the replica-aware transport
+// with one replica per partition. ctx bounds the dials. wantVertices <
+// 0 skips the vertex-count check; wantGraph is the caller's graph
+// fingerprint and wantPart its partitioning digest — for either, 0
+// skips the check (either side not computing one opts out, since a
+// server may also send 0).
+func Dial(ctx context.Context, addrs []string, wantVertices int, wantGraph, wantPart uint64) (*Replicated, error) {
+	groups := make([][]string, len(addrs))
+	for i, addr := range addrs {
+		groups[i] = []string{addr}
+	}
+	return DialReplicated(ctx, groups, wantVertices, wantGraph, wantPart, ReplicatedOptions{})
+}
+
 // DialReplicated connects to a replicated TCP deployment: groups[p]
 // lists the dsr-shard addresses serving partition p (any of them may be
 // down, as long as each partition has at least one up). ctx bounds the
@@ -313,7 +336,8 @@ func (r *Replicated) NumLive(p int) int {
 // retrying siblings on failure; the final Reply (success from whichever
 // replica answered, or an all-replicas-failed error) is delivered on
 // replyc. Each Submit runs in its own goroutine so the coordinator's
-// fan-out never blocks on a slow or dying replica.
+// fan-out never blocks on a slow or dying replica — except on a
+// partition whose sole replica is live, which gets the batch directly.
 func (r *Replicated) Submit(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
 	r.mu.Lock()
 	if r.closed {
@@ -323,6 +347,11 @@ func (r *Replicated) Submit(p int, h wire.BatchHeader, tasks []wire.Task, replyc
 	}
 	r.subWG.Add(1)
 	r.mu.Unlock()
+	if rep := r.sets[p].sole(); rep != nil {
+		rep.Submit(h, tasks, replyc)
+		r.subWG.Done()
+		return
+	}
 	go func() {
 		defer r.subWG.Done()
 		replyc <- r.sets[p].run(r.ctx, h, tasks, false)
@@ -344,13 +373,19 @@ var ErrNoIdleSibling = errors.New("shard: no idle sibling replica to hedge on")
 // never interleave two batches on one replica connection (whose decode
 // buffers hold one reply at a time). Unlike Submit it never redials
 // dead endpoints and never waits: with no idle live sibling the Reply
-// carries ErrNoIdleSibling immediately. The caller must be draining
-// replyc for both the primary and the hedged reply — both arrive.
+// carries ErrNoIdleSibling immediately, as it always does on a
+// partition with one replica. The caller must be draining replyc for
+// both the primary and the hedged reply — both arrive.
 func (r *Replicated) SubmitHedge(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		replyc <- Reply{Shard: p, Err: ErrClosed}
+		return
+	}
+	if len(r.sets[p].dialers) == 1 {
+		r.mu.Unlock()
+		replyc <- Reply{Shard: p, Err: ErrNoIdleSibling}
 		return
 	}
 	r.subWG.Add(1)
@@ -428,9 +463,12 @@ func (r *Replicated) shutdown() {
 	r.subWG.Wait()
 }
 
+// reconnectLoop sweeps dead replicas every period until Close. The
+// timer restarts after each sweep, so a sweep slowed by dials against a
+// dead host is still followed by a full pause, not another sweep.
 func (r *Replicated) reconnectLoop(every time.Duration) {
 	defer r.loopWG.Done()
-	t := time.NewTicker(every)
+	t := time.NewTimer(every)
 	defer t.Stop()
 	for {
 		select {
@@ -440,6 +478,7 @@ func (r *Replicated) reconnectLoop(every time.Duration) {
 			for _, rs := range r.sets {
 				rs.reconnect(r.ctx)
 			}
+			t.Reset(every)
 		}
 	}
 }
@@ -457,13 +496,14 @@ func (r *Replicated) reconnectLoop(every time.Duration) {
 // empty — a hedge races the primary submit, so spending seconds dialing
 // would defeat its purpose.
 //
-// Replies from a replicaSet own their memory: a replica's decode
-// buffers are valid only until its next submit, and with hedging two
-// submits to one partition are in flight at once, so the successful
+// Replies from a set of several replicas own their memory: a replica's
+// decode buffers are valid only until its next submit, and with hedging
+// two submits to one partition are in flight at once, so the successful
 // reply's Boundary lists are copied out of the replica's arena before
 // the replica is released for reuse. That keeps every Reply valid until
 // the coordinator finishes the whole round, however the round's submits
-// interleave.
+// interleave. A sole replica is never hedged, so its replies need no
+// copy.
 func (rs *replicaSet) run(ctx context.Context, h wire.BatchHeader, tasks []wire.Task, hedge bool) Reply {
 	tried := make([]bool, len(rs.dialers))
 	inner := make(chan Reply, 1)
@@ -490,7 +530,9 @@ func (rs *replicaSet) run(ctx context.Context, h wire.BatchHeader, tasks []wire.
 		rs.lat[idx].ObserveSince(t0)
 		if reply.Err == nil {
 			reply.Shard = rs.part
-			reply.Results = copyResults(reply.Results)
+			if len(rs.dialers) > 1 {
+				reply.Results = copyResults(reply.Results)
+			}
 			rs.setBusy(idx, false)
 			return reply
 		}
@@ -518,6 +560,31 @@ func copyResults(results []wire.Result) []wire.Result {
 		out[i].Boundary, arena = arena[:n:n], arena[n:]
 	}
 	return out
+}
+
+// sole returns the set's only replica when a batch can go straight to
+// it: the set has exactly one replica, and that replica is live, idle,
+// and not broken. A replica that reports itself broken (its failure
+// went straight to an earlier caller) is marked dead here, and nil
+// sends the batch down run's path, which redials it.
+func (rs *replicaSet) sole() Replica {
+	if len(rs.dialers) != 1 {
+		return nil
+	}
+	rs.mu.Lock()
+	rep := rs.live[0]
+	if rep == nil || rs.busy[0] {
+		rs.mu.Unlock()
+		return nil
+	}
+	rs.mu.Unlock()
+	if b, ok := rep.(interface{ Broken() error }); ok {
+		if err := b.Broken(); err != nil {
+			rs.markDead(0, rep, err)
+			return nil
+		}
+	}
+	return rep
 }
 
 // setBusy releases (or re-marks) replica idx; acquisition happens
@@ -776,6 +843,7 @@ type ReplicaSetError struct {
 	Replicas []ReplicaError
 }
 
+// Error lists every replica's failure, in replica order.
 func (e *ReplicaSetError) Error() string {
 	s := fmt.Sprintf("all %d replica(s) of partition %d failed:", len(e.Replicas), e.Part)
 	for _, re := range e.Replicas {

@@ -36,9 +36,13 @@ func (fc *flakyControl) dialer(sh *Shard) ReplicaDialer {
 	}
 }
 
+// flakyReplica fails like a connection does: an injected failure
+// breaks the instance for good (Broken reports it), and only a redial
+// produces a working one again.
 type flakyReplica struct {
-	ctl   *flakyControl
-	inner Replica
+	ctl    *flakyControl
+	inner  Replica
+	broken atomic.Pointer[error]
 }
 
 func (f *flakyReplica) Submit(h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
@@ -49,11 +53,20 @@ func (f *flakyReplica) Submit(h wire.BatchHeader, tasks []wire.Task, replyc chan
 			break
 		}
 		if f.ctl.failNext.CompareAndSwap(n, n-1) {
-			replyc <- Reply{Err: errors.New("flaky: injected failure")}
+			err := errors.New("flaky: injected failure")
+			f.broken.Store(&err)
+			replyc <- Reply{Err: err}
 			return
 		}
 	}
 	f.inner.Submit(h, tasks, replyc)
+}
+
+func (f *flakyReplica) Broken() error {
+	if err := f.broken.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 func (f *flakyReplica) Summary(ctx context.Context) (wire.Summary, error) {

@@ -1,10 +1,11 @@
 // Package shard is the DSR execution runtime: a Shard executes local
-// searches over one partition's subgraph, and a Transport carries task
-// batches from the coordinator to shards — in-process (Loopback) or
-// over TCP (Client/Server) with the internal/wire protocol. The
-// coordinator in internal/dsr only ever speaks Transport, so the
-// single-process engine is literally the distributed one running over
-// Loopback.
+// searches over one partition's subgraph, and the Replicated transport
+// carries task batches from the coordinator to each partition's
+// replicas — in-process replicas (NewLocal) or dsr-shard servers over
+// TCP (Dial, DialReplicated, Server) speaking the internal/wire
+// protocol. The coordinator in internal/dsr only ever speaks Transport,
+// so the single-process engine is literally the distributed one with
+// one local replica per partition.
 package shard
 
 import (

@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"errors"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"dsr/internal/graph"
 	"dsr/internal/partition"
@@ -172,9 +175,14 @@ func TestShardSummary(t *testing.T) {
 	}
 }
 
+// TestLoopbackTransport: the in-process transport (one local replica
+// per partition) answers submits to several partitions at once.
 func TestLoopbackTransport(t *testing.T) {
 	shards, _ := chainFixture(t)
-	lb := NewLoopback(shards)
+	lb, err := NewLocal(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer lb.Close()
 	if lb.NumShards() != 3 {
 		t.Fatalf("NumShards = %d, want 3", lb.NumShards())
@@ -195,13 +203,33 @@ func TestLoopbackTransport(t *testing.T) {
 	}
 }
 
+// TestLoopbackCloseIdempotent: closing the in-process transport twice
+// is safe, the first Close joins every local replica's serving
+// goroutine, and a submit after Close answers ErrClosed.
 func TestLoopbackCloseIdempotent(t *testing.T) {
 	shards, _ := chainFixture(t)
-	lb := NewLoopback(shards)
-	if err := lb.Close(); err != nil {
+	before := runtime.NumGoroutine()
+	lb, err := NewLocal(shards)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := lb.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// A joined goroutine can still be counted for a moment while its
+	// stack is retired; give the scheduler a short grace period.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before NewLocal, %d after Close", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := lb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replyc := make(chan Reply, 1)
+	lb.Submit(0, wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Seeds: []int32{0}}}, replyc)
+	if rep := <-replyc; !errors.Is(rep.Err, ErrClosed) {
+		t.Fatalf("submit after Close: %v, want ErrClosed", rep.Err)
 	}
 }

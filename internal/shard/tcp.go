@@ -372,19 +372,12 @@ func (s *Server) handle(c net.Conn) {
 	}
 }
 
-// Client is the TCP Transport: one connection per shard, requests
+// clientConn is one live connection to a shard server: requests are
 // written in Submit order and responses matched back FIFO (the server
-// answers a connection's requests strictly in order).
-type Client struct {
-	conns []*clientConn
-	once  sync.Once
-}
-
-// clientConn is one live connection to a shard server. It implements
+// answers a connection's requests strictly in order). It implements
 // Replica, which is how the replica-aware transport (Replicated) holds
 // one clientConn per replica endpoint and fails batches over between
-// them; the plain Client is the degenerate one-replica-per-partition
-// arrangement of the same type.
+// them.
 type clientConn struct {
 	shard int
 	addr  string
@@ -414,36 +407,6 @@ type pendingReq struct {
 type summaryReply struct {
 	sum wire.Summary
 	err error
-}
-
-// Dial connects to one shard server per address (addrs[i] must be shard
-// i), verifies each hello against the expected deployment shape, and
-// returns the transport. ctx bounds the whole dial sequence.
-// wantVertices < 0 skips the vertex-count check; wantGraph is the
-// caller's graph fingerprint and wantPart its partitioning digest — for
-// either, 0 skips the check (either side not computing one opts out,
-// since a server may also send 0).
-func Dial(ctx context.Context, addrs []string, wantVertices int, wantGraph, wantPart uint64) (*Client, error) {
-	cl := &Client{}
-	for i, addr := range addrs {
-		cc, err := dialShard(ctx, i, addr, len(addrs), wantVertices, wantGraph, wantPart, nil)
-		if err != nil {
-			cl.Close()
-			return nil, err
-		}
-		cl.conns = append(cl.conns, cc)
-	}
-	return cl, nil
-}
-
-// Instrument wires the client's frame and byte counters (net_client_*)
-// into reg. Safe to call while connections are live — reader goroutines
-// pick the instruments up atomically. Nil reg is a no-op.
-func (cl *Client) Instrument(reg *obs.Registry) {
-	met := newNetMetrics(reg, "net_client")
-	for _, cc := range cl.conns {
-		cc.met.set(met)
-	}
 }
 
 func dialShard(ctx context.Context, i int, addr string, numShards, wantVertices int, wantGraph, wantPart uint64, met *netMetrics) (*clientConn, error) {
@@ -493,62 +456,6 @@ func dialShard(ctx context.Context, i int, addr string, numShards, wantVertices 
 	cc.met.get().frameIn(len(p)) // the hello frame consumed above
 	go cc.readLoop()
 	return cc, nil
-}
-
-// NumShards returns the shard count.
-func (cl *Client) NumShards() int { return len(cl.conns) }
-
-// Submit encodes and writes the batch to shard p's connection. The
-// Reply arrives on replyc when the response frame is read (or an error
-// Reply immediately if the connection is broken).
-func (cl *Client) Submit(p int, h wire.BatchHeader, tasks []wire.Task, replyc chan<- Reply) {
-	cl.conns[p].Submit(h, tasks, replyc)
-}
-
-// Endpoints describes every connection: one entry per partition (the
-// plain Client has exactly one replica per partition), carrying the
-// dialed address, the metrics address the server announced in its
-// hello, and whether the connection is still live.
-func (cl *Client) Endpoints() []EndpointInfo {
-	eps := make([]EndpointInfo, len(cl.conns))
-	for i, cc := range cl.conns {
-		cc.mu.Lock()
-		live := cc.broken == nil
-		cc.mu.Unlock()
-		eps[i] = EndpointInfo{
-			Partition:   i,
-			Addr:        cc.addr,
-			MetricsAddr: cc.hello.MetricsAddr,
-			Live:        live,
-		}
-	}
-	return eps
-}
-
-// Summary fetches shard p's boundary summary over its connection,
-// paired with the hello identity the server presented at dial time.
-func (cl *Client) Summary(ctx context.Context, p int) (SummaryInfo, error) {
-	cc := cl.conns[p]
-	sum, err := cc.Summary(ctx)
-	if err != nil {
-		return SummaryInfo{}, err
-	}
-	return SummaryInfo{Hello: cc.hello, Summary: sum}, nil
-}
-
-// Close closes every connection and waits for the reader goroutines to
-// exit; outstanding Submits receive error replies.
-func (cl *Client) Close() error {
-	cl.once.Do(func() {
-		for _, cc := range cl.conns {
-			cc.fail(ErrClosed)
-			cc.c.Close()
-		}
-		for _, cc := range cl.conns {
-			<-cc.done
-		}
-	})
-	return nil
 }
 
 // Submit encodes and writes the batch to the connection (Replica
@@ -636,6 +543,14 @@ func (cc *clientConn) Hello() wire.Hello { return cc.hello }
 // Endpoint reports the dialed address and dial-time hello; Replicated
 // detects it to cache endpoint identity for its Endpoints() view.
 func (cc *clientConn) Endpoint() (string, wire.Hello) { return cc.addr, cc.hello }
+
+// Broken reports why the connection failed, or nil while it is usable;
+// Replicated checks it before handing a sole replica another batch.
+func (cc *clientConn) Broken() error {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	return cc.broken
+}
 
 // Close closes the connection and waits for its reader goroutine to
 // exit; pending Submits receive error replies (Replica interface).

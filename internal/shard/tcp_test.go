@@ -299,6 +299,7 @@ func TestTCPClientUnsolicitedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	cc := cl.sets[0].live[0].(*clientConn)
 	replyc := make(chan Reply, 1)
 	cl.Submit(0, wire.BatchHeader{}, []wire.Task{{Kind: wire.Forward, Query: 0, Seeds: []int32{0}}}, replyc)
 	rep := <-replyc
@@ -312,10 +313,7 @@ func TestTCPClientUnsolicitedFrame(t *testing.T) {
 		if !slices.Equal(rep.Results[0].Boundary, []uint32{1, 2}) {
 			t.Fatalf("delivered reply mutated by unsolicited frame: %v", rep.Results[0].Boundary)
 		}
-		cl.conns[0].mu.Lock()
-		broken := cl.conns[0].broken
-		cl.conns[0].mu.Unlock()
-		if broken != nil {
+		if broken := cc.Broken(); broken != nil {
 			if !strings.Contains(broken.Error(), "unsolicited") {
 				t.Fatalf("connection broken with %v, want unsolicited-frame error", broken)
 			}

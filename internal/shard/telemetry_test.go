@@ -47,12 +47,15 @@ func TestTCPFrameCounters(t *testing.T) {
 		}
 	}()
 
-	cl, err := Dial(t.Context(), addrs, 6, testGraphSum, testPartSum)
+	groups := make([][]string, len(addrs))
+	for i, a := range addrs {
+		groups[i] = []string{a}
+	}
+	cl, err := DialReplicated(t.Context(), groups, 6, testGraphSum, testPartSum, ReplicatedOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Instrument(reg)
 
 	replyc := make(chan Reply, 1)
 	for i := 0; i < 3; i++ {

@@ -418,8 +418,13 @@ func TestSnapshotLoadOrRebuildDifferential(t *testing.T) {
 		t.Fatalf("rebuilt %d shards, want exactly the corrupted one", rebuilt)
 	}
 
-	e, err := dsr.ConnectTransport(t.Context(), shard.NewLoopback(shards), k, g.NumVertices(), dsr.Options{})
+	tr, err := shard.NewLocal(shards)
 	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := dsr.ConnectTransport(t.Context(), tr, k, g.NumVertices(), dsr.Options{})
+	if err != nil {
+		tr.Close()
 		t.Fatal(err)
 	}
 	defer e.Close()

@@ -21,7 +21,9 @@ import (
 // strictPkgs are directories (module-relative) held to the
 // every-exported-symbol standard, not just the package-comment floor.
 var strictPkgs = map[string]bool{
+	"internal/dsr":   true,
 	"internal/serve": true,
+	"internal/shard": true,
 }
 
 func main() {
