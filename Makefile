@@ -1,15 +1,20 @@
 GO ?= go
 
-# Benchmark-regression gate settings. BENCH_TIME=100x amortizes warmup
-# (first-round arena growth would otherwise dominate allocs/op and
-# ns/op) while keeping the full gate run under a minute. BENCH_TOLERANCE
-# is deliberately looser than benchjson's 1.3 default: the gate compares
-# a committed baseline against runs on shared CI runners, so it is tuned
-# to catch real regressions (2x+) without flaking on scheduler noise.
-# allocs/op is noise-free at 100 iterations, so the same tolerance is an
-# effectively exact gate there — including 0 allocs/op staying 0.
+# Benchmark-regression gate settings. Every benchmark warms its scratch
+# before ResetTimer, so BENCH_TIME=100x measures steady state, not
+# first-round arena growth, while keeping the full gate run under a
+# minute. BENCH_CPU pins GOMAXPROCS for the gate and the baseline alike:
+# engine construction fans out over min(GOMAXPROCS, k) goroutines, so
+# its allocs/op would otherwise depend on the runner's core count.
+# BENCH_TOLERANCE is deliberately looser than benchjson's 1.3 default:
+# the gate compares a committed baseline against runs on shared CI
+# runners, so it is tuned to catch real regressions (2x+) without
+# flaking on scheduler noise. allocs/op is noise-free at 100 warmed
+# iterations on one CPU, so the same tolerance is an effectively exact
+# gate there — including 0 allocs/op staying 0.
 BENCH_TOLERANCE ?= 1.6
 BENCH_TIME ?= 100x
+BENCH_CPU ?= 1
 FUZZ_TIME ?= 30s
 
 # Committed coverage minima for the replication/failover-critical
@@ -106,7 +111,7 @@ bench-json:
 # against. Run this (and commit BENCH_baseline/) when a perf change is
 # intentional; the gate's output names this target on failure.
 bench-baseline:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCH_TIME) -run='^$$' ./... > bench-baseline.out
+	$(GO) test -bench=. -benchmem -benchtime=$(BENCH_TIME) -cpu=$(BENCH_CPU) -run='^$$' ./... > bench-baseline.out
 	@mkdir -p BENCH_baseline
 	$(GO) run ./tools/benchjson -not '^Benchmark((TCP)?Query|NaiveReach)' < bench-baseline.out > BENCH_baseline/BENCH_build.json
 	$(GO) run ./tools/benchjson -only '^Benchmark((TCP)?Query|NaiveReach)' < bench-baseline.out > BENCH_baseline/BENCH_query.json
@@ -115,16 +120,16 @@ bench-baseline:
 
 # CI benchmark-regression gate: run the suite fresh (same benchtime as
 # the baseline) and fail if ns/op or allocs/op regressed past
-# BENCH_TOLERANCE on any benchmark in the committed baseline. Names are
-# matched with the -N core-count suffix stripped, so the baseline
-# machine and the CI runner need not have the same core count — but
-# ns/op is still absolute time, so record the baseline on hardware in
-# the same class as the gate runner (CI's own bench-smoke artifacts are
-# a good source) or widen BENCH_TOLERANCE; allocs/op is exact on any
-# machine and is where the gate has teeth regardless. Both suites are
-# compared even if the first regresses, so one run reports everything.
+# BENCH_TOLERANCE on any benchmark in the committed baseline. Both runs
+# use -cpu=$(BENCH_CPU), so the baseline machine and the CI runner need
+# not have the same core count — but ns/op is still absolute time, so
+# record the baseline on hardware in the same class as the gate runner
+# (CI's own bench-smoke artifacts are a good source) or widen
+# BENCH_TOLERANCE; allocs/op is exact on any machine and is where the
+# gate has teeth regardless. Both suites are compared even if the first
+# regresses, so one run reports everything.
 bench-gate:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCH_TIME) -run='^$$' ./... > bench-gate.out
+	$(GO) test -bench=. -benchmem -benchtime=$(BENCH_TIME) -cpu=$(BENCH_CPU) -run='^$$' ./... > bench-gate.out
 	$(GO) run ./tools/benchjson -not '^Benchmark((TCP)?Query|NaiveReach)' < bench-gate.out > bench-gate-build.json
 	$(GO) run ./tools/benchjson -only '^Benchmark((TCP)?Query|NaiveReach)' < bench-gate.out > bench-gate-query.json
 	@fail=0; \

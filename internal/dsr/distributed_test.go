@@ -370,11 +370,7 @@ func benchTCPEngine(b *testing.B) (*Engine, [][2][]graph.VertexID, func()) {
 func BenchmarkTCPQuery(b *testing.B) {
 	e, queries, cleanup := benchTCPEngine(b)
 	defer cleanup()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		e.Query(q[0], q[1])
-	}
+	benchQueries(b, e, queries)
 }
 
 // BenchmarkTCPQueryBatch ships 64 queries per round trip over the same
@@ -393,8 +389,5 @@ func BenchmarkTCPQueryBatch(b *testing.B) {
 			batches[bi][i] = Query{S: q[0], T: q[1]}
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i += B {
-		e.QueryBatch(batches[(i/B)%len(batches)])
-	}
+	benchBatches(b, e, batches)
 }

@@ -162,7 +162,7 @@ func TestConnectLogsProgress(t *testing.T) {
 	}
 	defer e.Close()
 	out := buf.String()
-	for _, want := range []string{"shard 1/3", "shard 2/3", "shard 3/3", "boundary graph stitched"} {
+	for _, want := range []string{"shard 1/3", "shard 2/3", "shard 3/3", "boundary graph stitched", "components"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("connect log missing %q:\n%s", want, out)
 		}

@@ -182,6 +182,7 @@ func TestHistogramNil(t *testing.T) {
 
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := &Histogram{}
+	h.Observe(1) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

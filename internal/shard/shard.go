@@ -9,6 +9,7 @@
 package shard
 
 import (
+	"slices"
 	"sync"
 
 	"dsr/internal/graph"
@@ -20,19 +21,22 @@ import (
 // Shard executes local-search tasks against one partition. Searches run
 // over the partition's SCC condensation, not its vertices: a BFS visits
 // each component once, so a partition that is one big cycle costs O(1)
-// queue work instead of O(V). Vertex-level answers (local hits, reached
-// boundary vertices) are read back through the component member lists.
+// queue work instead of O(V). Reached boundary vertices are read back
+// through per-component exit and entry lists, so a search's output costs
+// what it reports, not the size of the components it visits.
 //
 // All scratch (component marks, queue, result and boundary buffers) is
 // owned by the Shard and reused across Run calls with the epoch trick,
 // so steady-state batches allocate nothing here. A Shard is not safe
 // for concurrent Run calls; every Transport serializes them.
 type Shard struct {
-	id      int
-	sub     *partition.Subgraph
-	cond    *scc.Condensation
-	isEntry []bool
-	isExit  []bool
+	id   int
+	sub  *partition.Subgraph
+	cond *scc.Condensation
+	// exits and entries list, per component of cond, the global IDs of
+	// its boundary out- and in-nodes in ascending local order (the order
+	// of the component's member list).
+	exits, entries compLists
 
 	cvisit  *partition.Marks // component-level BFS visited marks
 	cqueue  []int32          // component-level BFS queue
@@ -44,25 +48,48 @@ type Shard struct {
 	sum     wire.Summary
 }
 
+// compLists groups a set of a partition's vertices by SCC component, as
+// global IDs: a CSR whose row c holds the set's members of component c.
+type compLists struct {
+	off []int32 // row offsets into ids, len cond.N+1
+	ids []uint32
+}
+
+// newCompLists groups vs (strictly increasing local IDs) by component of
+// cond; each row keeps vs's order.
+func newCompLists(sub *partition.Subgraph, cond *scc.Condensation, vs []int32) compLists {
+	l := compLists{off: make([]int32, cond.N+1), ids: make([]uint32, len(vs))}
+	for _, v := range vs {
+		l.off[cond.Comp[v]+1]++
+	}
+	for c := 0; c < cond.N; c++ {
+		l.off[c+1] += l.off[c]
+	}
+	cur := slices.Clone(l.off[:cond.N])
+	for _, v := range vs {
+		c := cond.Comp[v]
+		l.ids[cur[c]] = uint32(sub.GlobalID(v))
+		cur[c]++
+	}
+	return l
+}
+
+// row returns the global IDs listed for component c.
+func (l *compLists) row(c int32) []uint32 { return l.ids[l.off[c]:l.off[c+1]] }
+
 // New builds a Shard over one partition's subgraph, building (or
-// reusing the cached) SCC condensation.
+// reusing the cached) SCC condensation and grouping the partition's
+// exits and entries by component.
 func New(id int, sub *partition.Subgraph) *Shard {
 	cond := sub.Condensation(nil)
-	s := &Shard{
+	return &Shard{
 		id:      id,
 		sub:     sub,
 		cond:    cond,
-		isEntry: make([]bool, sub.NumVertices()),
-		isExit:  make([]bool, sub.NumVertices()),
+		exits:   newCompLists(sub, cond, sub.Exits),
+		entries: newCompLists(sub, cond, sub.Entries),
 		cvisit:  partition.NewMarks(cond.N),
 	}
-	for _, e := range sub.Entries {
-		s.isEntry[e] = true
-	}
-	for _, x := range sub.Exits {
-		s.isExit[x] = true
-	}
-	return s
 }
 
 // ID returns the shard's partition index.
@@ -135,22 +162,14 @@ func (s *Shard) Run(tasks []wire.Task) []wire.Result {
 			}
 			start := len(arena)
 			for _, c := range comps {
-				for _, v := range s.cond.Members(c) {
-					if s.isExit[v] {
-						arena = append(arena, s.sub.GlobalID(v))
-					}
-				}
+				arena = append(arena, s.exits.row(c)...)
 			}
 			r.Boundary = arena[start:len(arena):len(arena)]
 		case wire.Backward:
 			comps := s.bfs(lseeds, false)
 			start := len(arena)
 			for _, c := range comps {
-				for _, v := range s.cond.Members(c) {
-					if s.isEntry[v] {
-						arena = append(arena, s.sub.GlobalID(v))
-					}
-				}
+				arena = append(arena, s.entries.row(c)...)
 			}
 			r.Boundary = arena[start:len(arena):len(arena)]
 		}
@@ -168,21 +187,32 @@ func (s *Shard) Run(tasks []wire.Task) []wire.Result {
 // subsequent calls are free and safe concurrently with each other.
 func (s *Shard) Summary() wire.Summary {
 	s.sumOnce.Do(func() {
-		var sum wire.Summary
-		// Walking local IDs in order yields globals in strictly
-		// increasing order — the canonical form DecodeSummary enforces.
-		for lv := int32(0); lv < int32(s.sub.NumVertices()); lv++ {
-			if s.isEntry[lv] || s.isExit[lv] {
-				sum.Boundary = append(sum.Boundary, uint32(s.sub.GlobalID(lv)))
-			}
-		}
+		var edges [][2]uint32
 		for _, pr := range s.sub.Summary(nil) {
-			sum.Edges = append(sum.Edges, [2]uint32{uint32(pr[0]), uint32(pr[1])})
+			edges = append(edges, [2]uint32{uint32(pr[0]), uint32(pr[1])})
 		}
-		for _, pr := range s.sub.Cross {
-			sum.Cross = append(sum.Cross, [2]uint32{uint32(pr[0]), uint32(pr[1])})
-		}
-		s.sum = sum
+		s.sum = s.summaryWith(edges)
 	})
 	return s.sum
+}
+
+// summaryWith assembles the boundary summary around the given summary
+// edges: the boundary-vertex set and the cross edges are re-emitted from
+// the subgraph in output-linear time.
+func (s *Shard) summaryWith(edges [][2]uint32) wire.Summary {
+	sum := wire.Summary{Edges: edges}
+	// Sorted and deduplicated (a vertex can be both entry and exit):
+	// the canonical form DecodeSummary enforces.
+	for _, lv := range s.sub.Entries {
+		sum.Boundary = append(sum.Boundary, uint32(s.sub.GlobalID(lv)))
+	}
+	for _, lv := range s.sub.Exits {
+		sum.Boundary = append(sum.Boundary, uint32(s.sub.GlobalID(lv)))
+	}
+	slices.Sort(sum.Boundary)
+	sum.Boundary = slices.Compact(sum.Boundary)
+	for _, pr := range s.sub.Cross {
+		sum.Cross = append(sum.Cross, [2]uint32{uint32(pr[0]), uint32(pr[1])})
+	}
+	return sum
 }

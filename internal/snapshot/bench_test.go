@@ -109,7 +109,9 @@ func (st *benchState) load(tb testing.TB) *shard.Shard {
 
 func BenchmarkColdBuild(b *testing.B) {
 	st := benchSetup(b)
+	st.coldBuild(b) // warm
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.coldBuild(b)
 	}
@@ -117,7 +119,9 @@ func BenchmarkColdBuild(b *testing.B) {
 
 func BenchmarkSnapshotLoad(b *testing.B) {
 	st := benchSetup(b)
+	st.load(b) // warm
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.load(b)
 	}
