@@ -3,9 +3,10 @@ GO ?= go
 # Benchmark-regression gate settings. Every benchmark warms its scratch
 # before ResetTimer, so BENCH_TIME=100x measures steady state, not
 # first-round arena growth, while keeping the full gate run under a
-# minute. BENCH_CPU pins GOMAXPROCS for the gate and the baseline alike:
-# engine construction fans out over min(GOMAXPROCS, k) goroutines, so
-# its allocs/op would otherwise depend on the runner's core count.
+# minute. Both targets run with -cpu=1, pinning GOMAXPROCS for the gate
+# and the baseline alike: engine construction fans out over
+# min(GOMAXPROCS, k) goroutines, so its allocs/op would otherwise depend
+# on the runner's core count.
 # BENCH_TOLERANCE is deliberately looser than benchjson's 1.3 default:
 # the gate compares a committed baseline against runs on shared CI
 # runners, so it is tuned to catch real regressions (2x+) without
@@ -14,7 +15,6 @@ GO ?= go
 # gate there — including 0 allocs/op staying 0.
 BENCH_TOLERANCE ?= 1.6
 BENCH_TIME ?= 100x
-BENCH_CPU ?= 1
 FUZZ_TIME ?= 30s
 
 # Committed coverage minima for the replication/failover-critical
@@ -111,7 +111,7 @@ bench-json:
 # against. Run this (and commit BENCH_baseline/) when a perf change is
 # intentional; the gate's output names this target on failure.
 bench-baseline:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCH_TIME) -cpu=$(BENCH_CPU) -run='^$$' ./... > bench-baseline.out
+	$(GO) test -bench=. -benchmem -benchtime=$(BENCH_TIME) -cpu=1 -run='^$$' ./... > bench-baseline.out
 	@mkdir -p BENCH_baseline
 	$(GO) run ./tools/benchjson -not '^Benchmark((TCP)?Query|NaiveReach)' < bench-baseline.out > BENCH_baseline/BENCH_build.json
 	$(GO) run ./tools/benchjson -only '^Benchmark((TCP)?Query|NaiveReach)' < bench-baseline.out > BENCH_baseline/BENCH_query.json
@@ -121,7 +121,7 @@ bench-baseline:
 # CI benchmark-regression gate: run the suite fresh (same benchtime as
 # the baseline) and fail if ns/op or allocs/op regressed past
 # BENCH_TOLERANCE on any benchmark in the committed baseline. Both runs
-# use -cpu=$(BENCH_CPU), so the baseline machine and the CI runner need
+# use -cpu=1, so the baseline machine and the CI runner need
 # not have the same core count — but ns/op is still absolute time, so
 # record the baseline on hardware in the same class as the gate runner
 # (CI's own bench-smoke artifacts are a good source) or widen
@@ -129,7 +129,7 @@ bench-baseline:
 # gate has teeth regardless. Both suites are compared even if the first
 # regresses, so one run reports everything.
 bench-gate:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCH_TIME) -cpu=$(BENCH_CPU) -run='^$$' ./... > bench-gate.out
+	$(GO) test -bench=. -benchmem -benchtime=$(BENCH_TIME) -cpu=1 -run='^$$' ./... > bench-gate.out
 	$(GO) run ./tools/benchjson -not '^Benchmark((TCP)?Query|NaiveReach)' < bench-gate.out > bench-gate-build.json
 	$(GO) run ./tools/benchjson -only '^Benchmark((TCP)?Query|NaiveReach)' < bench-gate.out > bench-gate-query.json
 	@fail=0; \

@@ -11,33 +11,33 @@ import (
 // boundaryGraph is the compressed global view stitched from the shards'
 // boundary summaries: vertices are the boundary vertices of the
 // partitioned graph, edges are the per-partition entry->exit summaries
-// plus the raw cross-partition edges. Global IDs are compressed to
-// dense ids (ranks in verts) through index.
+// plus the raw cross-partition edges.
 //
-// The graph is stitched at vertex level (off/arena, a CSR over dense
-// ids) and then SCC-condensed: what the coordinator keeps is the dense
-// id -> component map and the condensation DAG, so the query-time
-// finish walks components, not vertices. The vertex-level CSR lives
-// only between stitchVertices and condense.
+// The graph is stitched at vertex level (verts, off/arena: a CSR over
+// dense ids, the ranks in verts) and then SCC-condensed. What the
+// coordinator keeps is the boundary vertex count, the index — which
+// after condensing maps a global ID straight to its component — and the
+// condensation DAG, so the query-time finish walks components, not
+// vertices. The vertex-level arrays live only between stitchVertices
+// and condense.
 type boundaryGraph struct {
-	verts []uint32   // sorted global IDs of every boundary vertex
-	index denseIndex // global ID -> dense id
+	nb    int        // boundary vertex count
+	index denseIndex // global ID -> dense id; -> component once condensed
 
-	// Vertex-level stitched adjacency, dense ids; nil once condensed.
-	off   []int64 // CSR row offsets into arena, len(verts)+1
-	arena []int32 // concatenated adjacency rows, dense ids
+	// Vertex-level stitched graph, dense ids; nil once condensed.
+	verts []uint32 // sorted global IDs of every boundary vertex
+	off   []int64  // CSR row offsets into arena, nb+1
+	arena []int32  // concatenated adjacency rows, dense ids
 
-	// The condensation: comp maps a dense id to its component; dagOff
-	// and dagEdges are the DAG's forward CSR. Components are numbered in
+	// The condensation DAG's forward CSR. Components are numbered in
 	// reverse topological order (every DAG edge c->d has d < c).
-	comp     []int32
 	dagOff   []int32
 	dagEdges []int32
 }
 
 // NumVertices returns the boundary vertex count. With Out it makes the
 // vertex-level graph an scc.Adjacency.
-func (bg *boundaryGraph) NumVertices() int { return len(bg.verts) }
+func (bg *boundaryGraph) NumVertices() int { return bg.nb }
 
 // Out returns the stitched adjacency row of dense id d. Rows may hold
 // duplicates and self-loops; only valid before condense.
@@ -50,17 +50,17 @@ func (bg *boundaryGraph) numComps() int { return len(bg.dagOff) - 1 }
 func (bg *boundaryGraph) succ(c int32) []int32 { return bg.dagEdges[bg.dagOff[c]:bg.dagOff[c+1]] }
 
 // residentBytes is the memory footprint of what the coordinator keeps
-// of the boundary graph — the only per-graph state it retains: the
-// boundary ID list, its dense index, and the condensation.
+// of the condensed boundary graph — the only per-graph state it
+// retains: the ID -> component index and the condensation DAG.
 func (bg *boundaryGraph) residentBytes() int {
-	return 4*len(bg.verts) + bg.index.bytes() + 8*len(bg.off) + 4*len(bg.arena) +
-		4*len(bg.comp) + 4*len(bg.dagOff) + 4*len(bg.dagEdges)
+	return bg.index.bytes() + 4*len(bg.dagOff) + 4*len(bg.dagEdges)
 }
 
-// denseIndex maps the global ID of a boundary vertex to its dense id by
-// open addressing with linear probing, sized to the boundary (load
-// factor <= 1/2), never to the graph. Each slot packs key<<32 | dense+1,
-// so one 8-byte load answers a probe and a zero slot is empty.
+// denseIndex maps the global ID of a boundary vertex to a dense id (its
+// rank, or after remap its component) by open addressing with linear
+// probing, sized to the boundary (load factor <= 1/2), never to the
+// graph. Each slot packs key<<32 | dense+1, so one 8-byte load answers a
+// probe and a zero slot is empty.
 type denseIndex struct {
 	slots []uint64
 	shift uint // 64 - log2(len(slots)): the hash keeps the product's top bits
@@ -92,8 +92,8 @@ func (ix *denseIndex) home(v uint32) uint64 {
 	return (uint64(v) * 0x9E3779B97F4A7C15) >> ix.shift
 }
 
-// lookup returns the dense id of global ID v, or false if v is not a
-// boundary vertex.
+// lookup returns the dense id stored for global ID v, or false if v is
+// not a boundary vertex.
 func (ix *denseIndex) lookup(v uint32) (int32, bool) {
 	mask := uint64(len(ix.slots) - 1)
 	for i := ix.home(v); ; i = (i + 1) & mask {
@@ -103,6 +103,15 @@ func (ix *denseIndex) lookup(v uint32) (int32, bool) {
 		}
 		if uint32(s>>32) == v {
 			return int32(uint32(s)) - 1, true
+		}
+	}
+}
+
+// remap replaces every stored dense id d by m[d].
+func (ix *denseIndex) remap(m []int32) {
+	for i, s := range ix.slots {
+		if s != 0 {
+			ix.slots[i] = s&^0xFFFFFFFF | uint64(m[uint32(s)-1]+1)
 		}
 	}
 }
@@ -152,7 +161,7 @@ func stitchVertices(n int, sums []wire.Summary) (*boundaryGraph, error) {
 		return nil, fmt.Errorf("dsr: boundary vertex %d out of range (graph has %d vertices)", verts[len(verts)-1], n)
 	}
 	nb := len(verts)
-	bg := &boundaryGraph{verts: verts, index: newDenseIndex(verts), off: make([]int64, nb+1)}
+	bg := &boundaryGraph{nb: nb, index: newDenseIndex(verts), verts: verts, off: make([]int64, nb+1)}
 
 	// owner[d] is the shard that declared dense id d (boundary sets are
 	// disjoint, so the parallel writes are too).
@@ -225,12 +234,14 @@ func stitchVertices(n int, sums []wire.Summary) (*boundaryGraph, error) {
 	return bg, nil
 }
 
-// condense replaces the vertex-level adjacency with its SCC
-// condensation: the component map and the DAG's forward CSR. The
-// condensation's reverse CSR and member lists are not needed by the
-// finish and are dropped with the vertex-level arrays.
+// condense replaces the vertex-level graph with its SCC condensation:
+// the index is remapped to answer components, and only the DAG's
+// forward CSR is kept. The condensation's component map, reverse CSR
+// and member lists are not needed by the finish and are dropped with the
+// vertex-level arrays.
 func (bg *boundaryGraph) condense() {
 	cd := scc.Condense(bg, nil).Data()
-	bg.comp, bg.dagOff, bg.dagEdges = cd.Comp, cd.FOff, cd.FEdges
-	bg.off, bg.arena = nil, nil
+	bg.index.remap(cd.Comp)
+	bg.dagOff, bg.dagEdges = cd.FOff, cd.FEdges
+	bg.verts, bg.off, bg.arena = nil, nil, nil
 }

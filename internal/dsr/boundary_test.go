@@ -50,14 +50,24 @@ func vertexReach(bg *boundaryGraph, seeds, goals []int32) bool {
 	return false
 }
 
+// compOf returns the component of dense id d of the vertex-level ref in
+// the condensed bg stitched from the same summaries.
+func compOf(bg, ref *boundaryGraph, d int32) int32 {
+	c, ok := bg.index.lookup(ref.verts[d])
+	if !ok {
+		panic("boundary vertex missing from the condensed index")
+	}
+	return c
+}
+
 // condensedReach runs the engine's finish over the condensed bg for
-// seeds and goals given as dense ids.
-func condensedReach(bg *boundaryGraph, seeds, goals []int32) bool {
+// seeds and goals given as dense ids of the vertex-level ref.
+func condensedReach(bg, ref *boundaryGraph, seeds, goals []int32) bool {
 	e := &Engine{bg: bg, bvisit: partition.NewMarks(bg.numComps()), bgoal: partition.NewMarks(bg.numComps())}
 	comps := func(ds []int32) []int32 {
 		out := make([]int32, len(ds))
 		for i, d := range ds {
-			out[i] = bg.comp[d]
+			out[i] = compOf(bg, ref, d)
 		}
 		return out
 	}
@@ -66,9 +76,9 @@ func condensedReach(bg *boundaryGraph, seeds, goals []int32) bool {
 
 // localSearch runs one query's forward and backward tasks on every
 // shard, as a round would, and returns whether some shard saw a local
-// S ~> T path, plus the dense ids of the exits reached from S (seeds)
-// and of the entries that reach T (goals).
-func localSearch(t *testing.T, shards []*shard.Shard, bg *boundaryGraph, S, T []graph.VertexID) (hit bool, seeds, goals []int32) {
+// S ~> T path, plus the dense ids in the vertex-level ref of the exits
+// reached from S (seeds) and of the entries that reach T (goals).
+func localSearch(t *testing.T, shards []*shard.Shard, ref *boundaryGraph, S, T []graph.VertexID) (hit bool, seeds, goals []int32) {
 	t.Helper()
 	ids := func(vs []graph.VertexID) []int32 {
 		out := make([]int32, len(vs))
@@ -85,7 +95,7 @@ func localSearch(t *testing.T, shards []*shard.Shard, bg *boundaryGraph, S, T []
 		for _, r := range s.Run(tasks) {
 			hit = hit || r.Hit
 			for _, v := range r.Boundary {
-				d, ok := bg.index.lookup(v)
+				d, ok := ref.index.lookup(v)
 				if !ok {
 					t.Fatalf("shard %d reported non-boundary vertex %d", s.ID(), v)
 				}
@@ -147,12 +157,13 @@ func TestCondensedFinishDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nb := len(bg.verts)
-			if nb == 0 || bg.numComps() >= nb {
-				t.Fatalf("%d boundary vertices in %d components: nothing to condense", nb, bg.numComps())
+			nb := bg.NumVertices()
+			if nb == 0 || nb != len(ref.verts) || bg.numComps() >= nb {
+				t.Fatalf("%d boundary vertices (%d before condensing) in %d components: nothing to condense", nb, len(ref.verts), bg.numComps())
 			}
 			members := make([][]int32, bg.numComps())
-			for d, cc := range bg.comp {
+			for d := range ref.verts {
+				cc := compOf(bg, ref, int32(d))
 				members[cc] = append(members[cc], int32(d))
 			}
 
@@ -165,10 +176,10 @@ func TestCondensedFinishDifferential(t *testing.T) {
 					goals = append(goals, int32(rng.Intn(nb)))
 				}
 				if trial%3 == 0 {
-					m := members[bg.comp[seeds[0]]]
+					m := members[compOf(bg, ref, seeds[0])]
 					goals = append(goals, m[rng.Intn(len(m))])
 				}
-				if got, want := condensedReach(bg, seeds, goals), vertexReach(ref, seeds, goals); got != want {
+				if got, want := condensedReach(bg, ref, seeds, goals), vertexReach(ref, seeds, goals); got != want {
 					t.Fatalf("seeds %v goals %v: condensed %v, vertex-level %v", seeds, goals, got, want)
 				}
 			}
@@ -185,17 +196,17 @@ func TestCondensedFinishDifferential(t *testing.T) {
 				if got := e.Query(S, T); got != want {
 					t.Fatalf("query %v -> %v: engine %v, oracle %v", S, T, got, want)
 				}
-				hit, seeds, goals := localSearch(t, shards, bg, S, T)
+				hit, seeds, goals := localSearch(t, shards, ref, S, T)
 				ans := hit
 				if !hit && len(seeds) > 0 && len(goals) > 0 {
 					finished++
 					v := vertexReach(ref, seeds, goals)
-					if cd := condensedReach(bg, seeds, goals); cd != v {
+					if cd := condensedReach(bg, ref, seeds, goals); cd != v {
 						t.Fatalf("query %v -> %v: condensed %v, vertex-level %v", S, T, cd, v)
 					}
 					for _, s := range seeds {
 						for _, g := range goals {
-							if bg.comp[s] == bg.comp[g] {
+							if compOf(bg, ref, s) == compOf(bg, ref, g) {
 								sameComp++
 							}
 						}

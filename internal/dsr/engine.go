@@ -464,7 +464,7 @@ func connect(ctx context.Context, tr shard.Transport, k, n int, rt Runtime) (*En
 		return nil, err
 	}
 	rt.Log.Infof("boundary graph stitched: %d vertices, %d edges, %d components, %d coordinator-resident bytes",
-		len(bg.verts), edges, bg.numComps(), bg.residentBytes())
+		bg.nb, edges, bg.numComps(), bg.residentBytes())
 	return newEngine(n, k, bg, tr, rt), nil
 }
 
@@ -497,7 +497,7 @@ func newEngine(n, k int, bg *boundaryGraph, tr shard.Transport, rt Runtime) *Eng
 		}
 	}
 	e.met.partitions.Set(int64(k))
-	e.met.boundaryVerts.Set(int64(len(bg.verts)))
+	e.met.boundaryVerts.Set(int64(bg.nb))
 	e.met.residentBytes.Set(int64(bg.residentBytes()))
 	return e
 }
@@ -541,11 +541,10 @@ func (e *Engine) Endpoints() []shard.EndpointInfo {
 func (e *Engine) NumPartitions() int { return e.k }
 
 // NumBoundary returns the number of vertices in the boundary graph.
-func (e *Engine) NumBoundary() int { return len(e.bg.verts) }
+func (e *Engine) NumBoundary() int { return e.bg.nb }
 
 // ResidentBytes reports the coordinator's per-graph resident footprint:
-// the boundary ID list, its dense index, and the condensed boundary
-// graph. It scales with boundary size only — growing partition
+// the boundary ID -> component index and the condensed boundary graph. It scales with boundary size only — growing partition
 // interiors (vertices and edges that never cross a partition border)
 // leaves it unchanged, which is the point of the graph-free
 // coordinator.
@@ -1041,15 +1040,15 @@ func (e *Engine) absorb(queries []Query, rep *shard.Reply) error {
 			continue
 		}
 		for _, v := range res.Boundary {
-			d, ok := e.bg.index.lookup(v)
+			c, ok := e.bg.index.lookup(v)
 			if !ok {
 				terr = fmt.Errorf("dsr: shard %d reported non-boundary vertex %d", rep.Shard, v)
 				break
 			}
 			if res.Kind == wire.Forward {
-				st.seeds = append(st.seeds, e.bg.comp[d])
+				st.seeds = append(st.seeds, c)
 			} else {
-				st.goals = append(st.goals, e.bg.comp[d])
+				st.goals = append(st.goals, c)
 			}
 		}
 	}

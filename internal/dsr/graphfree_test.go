@@ -109,7 +109,7 @@ func TestStitchBoundaryRejectsBadSummaries(t *testing.T) {
 	}
 	// The empty fleet degenerates cleanly.
 	bg, err := stitchBoundary(5, []wire.Summary{{}, {}})
-	if err != nil || len(bg.verts) != 0 {
+	if err != nil || bg.NumVertices() != 0 {
 		t.Fatalf("empty summaries: bg=%v err=%v", bg, err)
 	}
 }
